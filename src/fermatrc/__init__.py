@@ -61,6 +61,7 @@ from .splitbundle import (
     KernelPresentation,
     SplittingType,
     coordinates_in_basis,
+    frobenius_pullback,
     h0,
     h0_tx_direct,
     module_generators,
@@ -112,6 +113,7 @@ __all__ = [
     "find_irreducible",
     "forbidden_windows",
     "form_gcd",
+    "frobenius_pullback",
     "h0",
     "h0_tx_direct",
     "is_rnc",

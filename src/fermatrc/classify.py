@@ -17,7 +17,7 @@ from .errors import UsageError, WindowViolation
 from .fermat import Curve, FermatParams, expand_F
 from .forms import Form
 from .rng import SplitMix64
-from .splitbundle import SplittingType, splitting_omega_p, tx_pipeline
+from .splitbundle import SplittingType, frobenius_pullback, tx_pipeline
 
 
 def prime_power(m: int) -> tuple[int, int]:
@@ -81,11 +81,13 @@ class BalancedPrediction:
 
 
 def balanced_model(e: int, N: int, pr: int) -> BalancedPrediction:
-    """Arithmetic of the balanced model.
+    """The balanced corollary of the Frobenius pullback identity.
 
-    If f*Omega^1 splits as O(-a)^l + O(-a-1)^l' with a = e + floor(e/N),
-    then f*F splits with summands b1 = -a*p^r + e(p^r + 1) of multiplicity l
-    and b2 = b1 - p^r of multiplicity l'.
+    A balanced f*Omega^1 of rank N and degree -(N+1)e splits as
+    O(-a)^l + O(-a-1)^l' with a = e + floor(e/N) and l' = e mod N.
+    frobenius_pullback then gives f*F with summands
+    b1 = -a*p^r + e(p^r + 1) of multiplicity l and b2 = b1 - p^r of
+    multiplicity l'.
     """
     if e < 1 or N < 3:
         raise UsageError("need e >= 1 and N >= 3")
@@ -93,8 +95,7 @@ def balanced_model(e: int, N: int, pr: int) -> BalancedPrediction:
     a = e + e // N
     lprime = (N + 1) * e - N * a
     l = N - lprime
-    b1 = -a * pr + e * (pr + 1)
-    b2 = b1 - pr
+    b1, b2 = frobenius_pullback(SplittingType((-a, -a - 1)), pr, (pr + 1) * e).summands
     pred = SplittingType.of([b1] * l + [b2] * lprime)
     return BalancedPrediction(a, l, lprime, b1, b2, pred)
 
@@ -168,7 +169,6 @@ def classify(curve: Curve) -> ClassificationReport:
     soundness failure rather than a discovery."""
     params = curve.params
     data = tx_pipeline(curve)
-    omega = splitting_omega_p(curve)
     tx = data.splitting_tx
     free = tx.min_summand >= 0
     very_free = tx.min_summand >= 1
@@ -184,7 +184,7 @@ def classify(curve: Curve) -> ClassificationReport:
     return ClassificationReport(
         splitting_TX=tx,
         splitting_F=data.splitting_f,
-        splitting_omega_P=omega,
+        splitting_omega_P=data.splitting_omega,
         free=free,
         very_free=very_free,
         h0_TX=h0,

@@ -26,19 +26,47 @@ import numpy as np
 
 from .errors import DivisionByZero, InvalidField
 
-MAX_Q = 1 << 64
+MAX_Q = 1 << 63  # every encoding fits the int64 arrays of linalg
 TABLE_LIMIT = 512
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(m: int) -> bool:
+    """Miller-Rabin with the first 12 prime bases, deterministic for
+    m < 3.18 * 10^23 and so for every characteristic below MAX_Q."""
     if m < 2:
         return False
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
+    for b in _MR_BASES:
+        if m % b == 0:
+            return m == b
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
-        f += 1
     return True
+
+
+def _check_field(p: int, n: int) -> int:
+    """Refuse a bad (p, n), the size first so that no primality or
+    irreducibility work runs on a field too large to encode; returns q."""
+    if n < 1:
+        raise InvalidField("extension degree must be >= 1")
+    if n >= 63 or p >= MAX_Q or p**n >= MAX_Q:
+        raise InvalidField("field order must be below 2^63")
+    if not is_prime(p):
+        raise InvalidField(f"{p} is not prime")
+    return p**n
 
 
 def _digits(k: int, p: int, n: int) -> list[int]:
@@ -101,12 +129,7 @@ def find_irreducible(p: int, n: int) -> list[int]:
     Returns the monic irreducible of degree n over F_p whose coefficient
     vector (constant term first) has the smallest base-p integer encoding.
     """
-    if not is_prime(p):
-        raise InvalidField(f"{p} is not prime")
-    if n < 1:
-        raise InvalidField("extension degree must be >= 1")
-    if p**n >= MAX_Q:
-        raise InvalidField("field does not fit in 64 bits")
+    _check_field(p, n)
     for k in range(p**n):
         cand = _digits(k, p, n) + [1]
         if _is_irreducible(cand, p):
@@ -129,13 +152,7 @@ class FieldCtx:
     """GF(p^n) with a fixed monic irreducible modulus."""
 
     def __init__(self, p: int, n: int = 1, modulus: Optional[Sequence[int]] = None):
-        if not is_prime(p):
-            raise InvalidField(f"{p} is not prime")
-        if n < 1:
-            raise InvalidField("extension degree must be >= 1")
-        q = p**n
-        if q >= MAX_Q:
-            raise InvalidField("field does not fit in 64 bits")
+        q = _check_field(p, n)
         if modulus is None:
             modulus = find_irreducible(p, n)
         else:

@@ -25,18 +25,29 @@ The same machinery produces minimal generators of the graded section module
 section in the generator basis.  For a curve f on a Fermat hypersurface of
 degree d = p^r + 1 this yields the pullback tangent bundle in three stages:
 
-  1. generators of the kernel presentation (f_i^(p^r), e*p^r) give the
-     pullback f*F of the twisted Frobenius-differential kernel bundle, with
-     summands b_j = d*e - m_j for generator degrees m_j;
+  1. the only generator scan runs on the small presentation (f_i, e), whose
+     kernel is f*Omega^1 of the ambient space (twisted by -e).  The row
+     (f_i^(p^r), e*p^r) cutting out F is its pullback under absolute
+     Frobenius on P^1, which is flat and pulls O(a) back to O(p^r*a), so
+     the Frobenius powers of those generators are minimal generators of the
+     big presentation, of p^r times the degree.  The pullback f*F therefore
+     splits as p^r*splitting(f*Omega) + d*e (frobenius_pullback), with
+     summands b_j = d*e - m_j for lifted generator degrees m_j;
   2. the Euler section (f_0, ..., f_N) lies in that kernel exactly when the
      curve sits on the hypersurface; its coordinates c_j have degree b_j;
   3. f*T_X is the cokernel of (c_j): O -> sum O(b_j), so its dual is again
      a kernel presentation, and negating plus reversing that splitting gives
      the tangent splitting.
 
-A second route, h0_TX_direct(m) = h^0(K_F(d*e + m)) - h^0(O(m)) for
-m >= -1, shares no matrices with stage 3 and serves as an independent
-cross-check on every pipeline run.
+Every pipeline run is certified: the Omega generator scan carries the
+rank/degree certificate, coordinates_in_basis raises when the Euler section
+is not in the span of the lifted generators, stage 3 is a certified scan
+with a rank/degree check on the tangent splitting, and the Frobenius
+presentation, built once, is an independent cross-check.  Its section
+counts h^0(K_F(d*e + m)) at m = -1, 0, 1 share no matrices with the
+pipeline, and must equal h^0(f*F(m)) and h^0(f*T_X(m)) + m + 1, since
+H^1(O(m)) = 0 for m >= -1.  Forbidden degree windows are checked on top of
+this by the classifier.
 """
 
 from __future__ import annotations
@@ -402,6 +413,7 @@ class TXData:
 
     generators: tuple[Generator, ...]
     coordinates: tuple[Form, ...]
+    splitting_omega: SplittingType
     splitting_f: SplittingType
     splitting_tx: SplittingType
 
@@ -418,6 +430,29 @@ def frob_presentation(curve: Curve) -> KernelPresentation:
     return KernelPresentation.make([(f.frob_power(r), delta) for f in curve.forms])
 
 
+def frobenius_pullback(omega: SplittingType, pr: int, de: int) -> SplittingType:
+    """Splitting of f*F from the splitting of f*Omega^1: p^r*omega + d*e.
+
+    The Frobenius row (f_i^(p^r)) is the pullback of the row (f_i) under
+    absolute Frobenius on P^1, which is flat and pulls O(a) back to
+    O(p^r*a); the twist by d*e turns that kernel into f*F.
+    """
+    return omega.scaled(pr).shifted(de)
+
+
+def frobenius_lift(gens: Sequence[Generator], r: int) -> list[Generator]:
+    """Minimal generators of the Frobenius presentation from those of the
+    Omega presentation: if sum h_i f_i = 0 then sum h_i^(p^r) f_i^(p^r) = 0,
+    and the lifted generator has p^r times the degree."""
+    return [
+        Generator(
+            g.degree * g.components[0].ctx.p**r,
+            tuple(c.frob_power(r) for c in g.components),
+        )
+        for g in gens
+    ]
+
+
 def splitting_omega_p(curve: Curve) -> SplittingType:
     """Splitting of the restricted cotangent sheaf of the ambient space."""
     return splitting_type(omega_presentation(curve))
@@ -429,9 +464,11 @@ def splitting_t_p(curve: Curve) -> SplittingType:
 
 
 def splitting_f(curve: Curve) -> SplittingType:
-    """Splitting of f*F (the subsheaf of T_X cut by the Frobenius row)."""
-    de = curve.params.d * curve.e
-    return splitting_type(frob_presentation(curve)).shifted(de)
+    """Splitting of f*F (the subsheaf of T_X cut by the Frobenius row), the
+    Frobenius pullback of the f*Omega^1 splitting.  Defined off the
+    hypersurface too."""
+    params = curve.params
+    return frobenius_pullback(splitting_omega_p(curve), params.pr, params.d * curve.e)
 
 
 def h0_tx_direct(curve: Curve, m: int) -> int:
@@ -451,17 +488,21 @@ def h0_tx_direct(curve: Curve, m: int) -> int:
 def tx_pipeline(curve: Curve) -> TXData:
     """Run the three-stage pipeline and return every shared artifact.
 
-    Postconditions are enforced: rank N-1, degree e(N+1-d), and agreement
-    with h0_tx_direct at twists -1, 0, 1.
+    Stage 1 lifts the f*Omega^1 generators by Frobenius instead of scanning
+    the Frobenius presentation.  Postconditions are enforced: rank N-1 and
+    degree e(N+1-d) for f*T_X, and agreement of f*F and f*T_X with the
+    Frobenius presentation's section counts at twists -1, 0, 1.
     """
     if not curve.on_x:
         raise NotOnHypersurface("tangent pipeline needs a curve on the hypersurface")
     params = curve.params
     de = params.d * curve.e
-    kp = frob_presentation(curve)
-    gens = module_generators(kp)
+    omega_gens = module_generators(omega_presentation(curve))
+    omega = SplittingType.of(-g.degree for g in omega_gens)
+    f_split = frobenius_pullback(omega, params.pr, de)
+    gens = frobenius_lift(omega_gens, params.r)
     bs = [de - g.degree for g in gens]
-    f_split = SplittingType.of(bs)
+    kp = frob_presentation(curve)
     try:
         coords = coordinates_in_basis(kp, gens, curve.forms)
     except NotInModule as exc:
@@ -478,11 +519,16 @@ def tx_pipeline(curve: Curve) -> TXData:
             f"tangent splitting {tx.summands} has wrong rank or degree"
         )
     for m in (-1, 0, 1):
-        if tx.h0_at(m) != h0_tx_direct(curve, m):
+        direct = h0(kp, de + m)
+        if f_split.h0_at(m) != direct:
+            raise CertificateFailure(
+                f"f*F splitting disagrees with the direct count at twist {m}"
+            )
+        if tx.h0_at(m) != direct - (m + 1):
             raise CertificateFailure(
                 f"tangent splitting disagrees with the direct count at twist {m}"
             )
-    return TXData(tuple(gens), tuple(coords), f_split, tx)
+    return TXData(tuple(gens), tuple(coords), omega, f_split, tx)
 
 
 def splitting_tx(curve: Curve) -> SplittingType:

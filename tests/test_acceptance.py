@@ -119,6 +119,7 @@ def test_criterion_07_balanced_model_consistency(corpus):
     assert hits > 0
 
 
+@pytest.mark.slow
 def test_criterion_08_soundness_sweep(params44, params55):
     start = time.monotonic()
     sweeps = (

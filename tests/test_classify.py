@@ -3,6 +3,7 @@ dimension reports, and the coefficient vanishing probe."""
 
 import pytest
 
+from fermatrc import splitbundle
 from fermatrc.classify import (
     balanced_model,
     chi_tx,
@@ -99,6 +100,19 @@ def test_classify_line55(line55):
     assert rep.splitting_TX.summands == (2, 1, 1, -3)
     assert rep.h0_TX == 7 and rep.h1_TX == 2 and rep.chi == 5
     assert rep.in_forbidden_window is True
+
+
+def test_classify_scans_only_the_omega_presentation(line44, monkeypatch):
+    scanned = []
+    scan = splitbundle.module_generators
+
+    def counting(kp):
+        scanned.append(kp)
+        return scan(kp)
+
+    monkeypatch.setattr(splitbundle, "module_generators", counting)
+    classify(line44)
+    assert scanned == [splitbundle.omega_presentation(line44)]
 
 
 def test_classify_off_diagonal_omits_window_flag(line44):

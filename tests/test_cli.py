@@ -5,11 +5,15 @@ goes through a real subprocess to cover the module entry point.
 """
 
 import json
+import os
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import fermatrc
 from fermatrc import fermat
 from fermatrc.cli import main
 from fermatrc.fermat import Curve
@@ -106,6 +110,20 @@ def test_file_error_paths(capsys, tmp_path):
     short.write_text(json.dumps({"p": 3}))
     code, payload = _run_json(capsys, "verify", "--curve", str(short))
     assert code == 3 and payload["kind"] == "UsageError"
+
+
+def test_big_field_is_refused_quickly(capsys, tmp_path):
+    big = tmp_path / "big.json"
+    p = 2**64 - 59
+    big.write_text(json.dumps({
+        "p": p, "r": 1, "N": 4, "e": 1,
+        "field": {"p": p, "n": 1, "modulus": [0, 1]},
+        "curve": [[1, 0], [0, 1], [0, 0], [0, 0], [0, 0]],
+    }))
+    t0 = time.perf_counter()
+    code, payload = _run_json(capsys, "verify", "--curve", str(big))
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 1 and payload["kind"] == "InvalidField"
 
 
 def test_parser_error_paths(capsys):
@@ -380,16 +398,20 @@ def test_survey_stream(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the same package as this process, installed or not
+    src = str(Path(fermatrc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
         [sys.executable, "-m", "fermatrc.cli", "windows", "--pr", "4"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert done.returncode == 0
     assert json.loads(done.stdout)["allowed"] == [5, 9, 10, 13, 14, 15]
 
     missing = subprocess.run(
         [sys.executable, "-m", "fermatrc.cli", "verify", "--curve", "no/such.json"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert missing.returncode == 3
     assert json.loads(missing.stdout)["kind"] == "UsageError"

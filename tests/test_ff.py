@@ -1,6 +1,7 @@
 """Finite field layer: modulus selection, arithmetic fixtures, axiom sweeps."""
 
 import random
+import time
 
 import pytest
 
@@ -22,6 +23,10 @@ def test_constructor_rejects_bad_input():
         FieldCtx(3, 0)
     with pytest.raises(InvalidField):
         FieldCtx(2, 64)
+    with pytest.raises(InvalidField):
+        FieldCtx(2**64 - 59)
+    with pytest.raises(InvalidField):
+        FieldCtx(3, 40)
     with pytest.raises(InvalidField):
         FieldCtx(3, 2, modulus=[0, 0, 1])
     with pytest.raises(InvalidField):
@@ -98,6 +103,19 @@ def test_frobenius_full_cycle_is_identity(gf9, gf4):
 
 def test_is_prime_small_values():
     assert [m for m in range(2, 20) if is_prime(m)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+def _trial_division(m):
+    return m >= 2 and all(m % f for f in range(2, int(m**0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert all(is_prime(m) == _trial_division(m) for m in range(2, 20000))
+    # strong pseudoprime to the bases 2, 3, 5 and 7
+    assert not is_prime(3215031751)
+    t0 = time.perf_counter()
+    assert is_prime(2**61 - 1)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_field_json_roundtrip(gf9):

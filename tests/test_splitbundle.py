@@ -1,24 +1,41 @@
 """Splitting machinery: section counts against a brute-force oracle, the
 certified scan, minimal generators, and the tangent pipeline fixtures."""
 
-import pytest
+import functools
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fermatrc import splitbundle
 from fermatrc.errors import (
     AllZero,
+    CertificateFailure,
     CommonZero,
     DegreeMismatch,
+    DomainError,
     NotInModule,
     NotOnHypersurface,
     TwistOutOfRange,
 )
-from fermatrc.fermat import FermatParams, compose_cover, validate
+from fermatrc.fermat import (
+    FermatParams,
+    compose_cover,
+    make_line,
+    roots_of_minus_one,
+    validate,
+)
+from fermatrc.ff import FieldCtx
 from fermatrc.forms import Form
+from fermatrc.rng import SplitMix64
+from fermatrc.search import SearchConfig, random_cover_family
 from fermatrc.splitbundle import (
     Generator,
     KernelPresentation,
     SplittingType,
     coordinates_in_basis,
     frob_presentation,
+    frobenius_lift,
     h0,
     h0_tx_direct,
     module_generators,
@@ -293,8 +310,83 @@ def test_off_hypersurface_pipeline_is_rejected(params44):
     assert splitting_omega_p(curve).rank == params44.N
 
 
-def test_shift_matches_presentation_twist(line44, params44):
-    # the pullback with twist is computed as a plain shift of the scan
-    base = splitting_type(frob_presentation(line44))
-    de = params44.d * line44.e
-    assert splitting_f(line44).summands == base.shifted(de).summands
+# (p, r, n): d = p^r + 1 over the coefficient field GF(p^n)
+_PULLBACK_FIELDS = {
+    "GF(9)": (3, 1, 2),
+    "GF(4)": (2, 2, 2),
+    "GF(16)": (2, 2, 4),
+    "GF(25)": (5, 1, 2),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _pullback_params(field, N):
+    p, r, n = _PULLBACK_FIELDS[field]
+    return FermatParams.make(p, r, N, ctx=FieldCtx(p, n))
+
+
+def _seeded_curve(params, e, on_x, seed):
+    """A seeded cover of the standard line, or a seeded tuple off X."""
+    ctx = params.ctx
+    if on_x:
+        root = roots_of_minus_one(ctx, params.d)[0]
+        line = make_line(params, root, root)
+        return random_cover_family(SearchConfig(params, e, seed), line, 1)[0]
+    rng = SplitMix64(seed)
+    while True:
+        forms = [
+            Form.make(ctx, e, [rng.below(ctx.q) for _ in range(e + 1)])
+            for _ in range(params.N + 1)
+        ]
+        try:
+            curve = validate(params, e, forms, on_hypersurface=False)
+        except DomainError:
+            continue
+        if not curve.on_x:
+            return curve
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    field=st.sampled_from(sorted(_PULLBACK_FIELDS)),
+    N=st.integers(3, 5),
+    e=st.integers(1, 3),
+    on_x=st.booleans(),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_frobenius_pullback_identity(field, N, e, on_x, seed):
+    params = _pullback_params(field, N)
+    curve = _seeded_curve(params, e, on_x, seed)
+    kp = frob_presentation(curve)
+    # the direct scan of the Frobenius presentation is the oracle
+    direct = splitting_type(kp).shifted(params.d * e)
+    assert splitting_f(curve) == direct
+    lifted = frobenius_lift(module_generators(omega_presentation(curve)), params.r)
+    assert sorted(g.degree for g in lifted) == sorted(
+        g.degree for g in module_generators(kp)
+    )
+    for gen in lifted:
+        acc = Form.zero(curve.ctx, gen.degree)
+        for (g, _), c in zip(kp.entries, gen.components):
+            if not g.is_zero and not c.is_zero:
+                acc = acc + g * c
+        assert acc.is_zero
+
+
+def test_pipeline_generators_are_lifted(line44):
+    data = tx_pipeline(line44)
+    omega_gens = module_generators(omega_presentation(line44))
+    assert list(data.generators) == frobenius_lift(omega_gens, line44.params.r)
+    assert data.splitting_omega == splitting_omega_p(line44)
+
+
+def test_wrong_derived_f_fails_the_direct_count(line44, monkeypatch):
+    true_pullback = splitbundle.frobenius_pullback
+
+    def off_by_one(omega, pr, de):
+        st = true_pullback(omega, pr, de)
+        return SplittingType.of((st.summands[0] + 1,) + st.summands[1:])
+
+    monkeypatch.setattr(splitbundle, "frobenius_pullback", off_by_one)
+    with pytest.raises(CertificateFailure, match=r"f\*F splitting disagrees"):
+        tx_pipeline(line44)
