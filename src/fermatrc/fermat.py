@@ -109,13 +109,35 @@ class Curve:
 
 
 def expand_F(params: FermatParams, forms: Sequence[Form]) -> Form:
-    """The defining expansion sum_i f_i^(p^r) * f_i, a form of degree d*e."""
-    acc = None
-    for f in forms:
-        term = f.frob_power(params.r) * f
-        acc = term if acc is None else acc + term
-    assert acc is not None
-    return acc
+    """The defining expansion sum_i f_i^(p^r) * f_i, a form of degree d*e.
+
+    One accumulation over all coordinates: coefficients a_j, a_k of f_i
+    add a_j^(p^r) * a_k at t-degree j*p^r + k.  The nonzero forms must share
+    the degree e; zero forms contribute nothing, and when every form is zero
+    the last one's declared degree gives e.
+    """
+    if not forms:
+        raise ValueError("expand_F needs at least one form")
+    ctx = params.ctx
+    live = [f for f in forms if not f.is_zero]
+    if any(f.ctx != ctx for f in live):
+        raise ValueError("mixed field contexts")
+    e = live[0].deg if live else forms[-1].deg
+    for f in live:
+        if f.deg != e:
+            raise DegreeMismatch(f"cannot add degrees {params.d * e} and {params.d * f.deg}")
+    rows = ctx.rows
+    add, mul, frob = rows.add, rows.mul, rows.frob[params.r % ctx.n]
+    pr = params.pr
+    acc = [0] * (params.d * e + 1)
+    for f in live:
+        terms = [(k, c) for k, c in enumerate(f.coeffs) if c]
+        for j, a in terms:
+            by_frob_a = mul[frob[a]]
+            base = j * pr
+            for k, c in terms:
+                acc[base + k] = add[acc[base + k]][by_frob_a[c]]
+    return Form.make(ctx, params.d * e, acc)
 
 
 def validate(

@@ -11,14 +11,21 @@ When none is supplied the deterministic default is the irreducible whose
 coefficient vector (constant term first) has the smallest base-p integer
 encoding, so a given (p, n) always names the same field presentation.
 
-Small fields (q <= TABLE_LIMIT) get lazily built lookup tables; these speed
-up scalar arithmetic and back the vectorized row operations in ``linalg``.
+Fields with q <= TABLE_LIMIT answer every scalar op by one lookup after
+checking the arguments, and the hot kernels of ``forms``, ``fermat`` and
+``search`` index the same rows directly.  One build makes all of them and
+the numpy tables behind the vectorized row operations of ``linalg``: it
+takes O(q) field multiplications (exp and log of a primitive element), runs
+on first use and is published by a single assignment.  Larger fields
+compute each op on base-p digits.
+
 Splitting types are geometric invariants, so computing over a fixed finite
 model such as GF(p^(2r)) loses nothing.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -110,16 +117,38 @@ def _pmod(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     return _ptrim(r)
 
 
+def _pgcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    """Monic gcd over F_p; [] when both are zero."""
+    a, b = _ptrim(list(a)), _ptrim(list(b))
+    while b:
+        lead_inv = pow(b[-1], p - 2, p)
+        b = [(c * lead_inv) % p for c in b]
+        a, b = b, _pmod(a, b, p)
+    return a
+
+
 def _is_irreducible(f: Sequence[int], p: int) -> bool:
-    """Trial division by every monic polynomial of degree <= deg(f)/2."""
+    """Ben-Or's test for monic f of degree n: f is irreducible exactly when
+    gcd(x^(p^k) - x, f) = 1 for k = 1 .. n/2, since x^(p^k) - x is the
+    product of the monic irreducibles of degree dividing k.  Stops at the
+    first k that shares a factor (Ben-Or, FOCS 1981)."""
     n = len(f) - 1
     if n < 1:
         return False
-    for d in range(1, n // 2 + 1):
-        for k in range(p**d):
-            g = _digits(k, p, d) + [1]
-            if not _pmod(f, g, p):
-                return False
+    h = [0, 1]
+    for _ in range(n // 2):
+        # h = x^(p^k) mod f, one p-th power per step
+        power, base, e = [1], h, p
+        while e:
+            if e & 1:
+                power = _pmod(_pmul(power, base, p), f, p)
+            base = _pmod(_pmul(base, base, p), f, p)
+            e >>= 1
+        h = power
+        diff = h + [0] * (2 - len(h))  # h - x
+        diff[1] = (diff[1] - 1) % p
+        if _pgcd(f, diff, p) != [1]:
+            return False
     return True
 
 
@@ -148,8 +177,49 @@ class FieldTables:
     inv: np.ndarray
 
 
+@dataclass(frozen=True, eq=False)
+class LookupRows:
+    """Scalar arithmetic as indexing: add[a][b] is a + b, likewise sub and
+    mul, neg[a] is -a, inv[a] is 1/a (inv[0] is a 0 sentinel for tabulated
+    fields) and frob[k][a] is a^(p^k) for 0 <= k < n.  Indices must be
+    canonical elements; nothing is checked.  ``arrays`` holds the same
+    tables as numpy arrays, or None for a field too large to tabulate."""
+
+    add: Sequence
+    sub: Sequence
+    mul: Sequence
+    neg: Sequence
+    inv: Sequence
+    frob: Sequence
+    arrays: Optional[FieldTables]
+
+
+def _prime_factors(m: int) -> list[int]:
+    out, f = [], 2
+    while f * f <= m:
+        if m % f == 0:
+            out.append(f)
+            while m % f == 0:
+                m //= f
+        f += 1
+    return out + ([m] if m > 1 else [])
+
+
 class FieldCtx:
-    """GF(p^n) with a fixed monic irreducible modulus."""
+    """GF(p^n) with a fixed monic irreducible modulus.
+
+    Fields with q <= TABLE_LIMIT answer every scalar op by one lookup in
+    ``rows``.  Larger fields are instances of a subclass that computes on
+    base-p digits; ``__new__`` picks the class once, so neither kind
+    branches on it per operation.
+    """
+
+    has_tables = True
+
+    def __new__(cls, p: int, n: int = 1, modulus: Optional[Sequence[int]] = None):
+        if cls is FieldCtx and _check_field(p, n) > TABLE_LIMIT:
+            cls = _DigitFieldCtx
+        return super().__new__(cls)
 
     def __init__(self, p: int, n: int = 1, modulus: Optional[Sequence[int]] = None):
         q = _check_field(p, n)
@@ -167,15 +237,12 @@ class FieldCtx:
         self.n = n
         self.q = q
         self.modulus = tuple(modulus)
-        self._mul_rows: Optional[list[list[int]]] = None
-        self._inv_row: Optional[list[int]] = None
-        self._np_tables: Optional[FieldTables] = None
 
     def __repr__(self) -> str:
         return f"GF({self.q})"
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return self is other or (
             isinstance(other, FieldCtx)
             and self.p == other.p
             and self.n == other.n
@@ -208,7 +275,165 @@ class FieldCtx:
     def elements(self) -> range:
         return range(self.q)
 
-    # arithmetic
+    # arithmetic: check the arguments, then one lookup
+
+    def add(self, a: int, b: int) -> int:
+        self._check(a), self._check(b)
+        return self.rows.add[a][b]
+
+    def neg(self, a: int) -> int:
+        self._check(a)
+        return self.rows.neg[a]
+
+    def sub(self, a: int, b: int) -> int:
+        self._check(a), self._check(b)
+        return self.rows.sub[a][b]
+
+    def mul(self, a: int, b: int) -> int:
+        self._check(a), self._check(b)
+        return self.rows.mul[a][b]
+
+    def inv(self, a: int) -> int:
+        self._check(a)
+        if a == 0:
+            raise DivisionByZero(f"inverse of 0 in {self!r}")
+        return self.rows.inv[a]
+
+    def pow(self, a: int, e: int) -> int:
+        self._check(a)
+        if e < 0:
+            a = self.inv(a)
+            e = -e
+        result = 1
+        base = a
+        while e:
+            if e & 1:
+                result = self.mul(result, base)
+            base = self.mul(base, base)
+            e >>= 1
+        return result
+
+    def frobenius(self, a: int, k: int) -> int:
+        """k-fold Frobenius a -> a^(p^k); k reduces mod n (Galois closure)."""
+        self._check(a)
+        if k < 0:
+            raise ValueError("Frobenius power must be >= 0")
+        return self.rows.frob[k % self.n][a]
+
+    def _mul_raw(self, a: int, b: int) -> int:
+        if self.n == 1:
+            return (a * b) % self.p
+        prod = _pmul(self.decode(a), self.decode(b), self.p)
+        return self.encode(_pmod(prod, self.modulus, self.p) + [0] * self.n)
+
+    # lookup tables
+
+    @functools.cached_property
+    def rows(self) -> LookupRows:
+        """The lookup rows, built on first use.  Concurrent first uses may
+        each build them, but every build is complete and equal, and it is
+        published by the single assignment that caches it."""
+        return self._build_tables()
+
+    def _build_tables(self) -> LookupRows:
+        """Every table from O(q) field multiplications.
+
+        g is the primitive element of smallest encoding and exp[i] = g^i,
+        so for nonzero a, b: a*b = exp[log a + log b], 1/a = exp[-log a]
+        and a^(p^k) = exp[p^k log a], exponents mod q - 1.  Addition and
+        negation act digit by digit.
+        """
+        p, n, q = self.p, self.n, self.q
+        units = q - 1
+        g = next(
+            a for a in range(1, q)
+            if all(self._pow_raw(a, units // f) != 1 for f in _prime_factors(units))
+        )
+        exp_list = [1]
+        for _ in range(units - 1):
+            exp_list.append(self._mul_raw(exp_list[-1], g))
+        exp = np.array(exp_list, dtype=np.int64)
+        log = np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(units)
+        lg = log[1:]
+        mul = np.zeros((q, q), dtype=np.int64)
+        mul[1:, 1:] = exp[(lg[:, None] + lg[None, :]) % units]
+        inv = np.zeros(q, dtype=np.int64)
+        inv[1:] = exp[-lg % units]
+        frob = np.zeros((n, q), dtype=np.int64)
+        for k in range(n):
+            frob[k, 1:] = exp[lg * pow(p, k, units) % units]
+        idx = np.arange(q, dtype=np.int64)
+        if n == 1:
+            add = (idx[:, None] + idx[None, :]) % p
+            neg = (-idx) % p
+        else:
+            dig = np.zeros((q, n), dtype=np.int64)
+            k = idx.copy()
+            for i in range(n):
+                dig[:, i] = k % p
+                k //= p
+            weights = p ** np.arange(n, dtype=np.int64)
+            add = ((dig[:, None, :] + dig[None, :, :]) % p) @ weights
+            neg = ((-dig) % p) @ weights
+        sub = add[:, neg]
+        # index an object array of range(q) so every row shares one int per element
+        ints = np.array(range(q), dtype=object)
+        return LookupRows(
+            add=ints[add].tolist(),
+            sub=ints[sub].tolist(),
+            mul=ints[mul].tolist(),
+            neg=ints[neg].tolist(),
+            inv=ints[inv].tolist(),
+            frob=ints[frob].tolist(),
+            arrays=FieldTables(add=add, sub=sub, mul=mul, neg=neg, inv=inv),
+        )
+
+    def _pow_raw(self, a: int, e: int) -> int:
+        result = 1
+        while e:
+            if e & 1:
+                result = self._mul_raw(result, a)
+            a = self._mul_raw(a, a)
+            e >>= 1
+        return result
+
+    def tables(self) -> Optional[FieldTables]:
+        """The numpy tables, or None for a field too large to tabulate."""
+        return self.rows.arrays
+
+    # serialization
+
+    def to_json(self) -> dict:
+        return {"p": self.p, "n": self.n, "modulus": list(self.modulus)}
+
+    @classmethod
+    def from_json(cls, data: dict) -> "FieldCtx":
+        try:
+            p = int(data["p"])
+            n = int(data.get("n", 1))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidField(f"bad field record: {exc}") from exc
+        modulus = data.get("modulus")
+        return cls(p, n, modulus)
+
+
+class _Computed:
+    """A row view that computes each entry on lookup: view[x] is fn(x)."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __getitem__(self, x):
+        return self.fn(x)
+
+
+class _DigitFieldCtx(FieldCtx):
+    """A field above TABLE_LIMIT: each op computes on base-p digits."""
+
+    has_tables = False
 
     def add(self, a: int, b: int) -> int:
         self._check(a), self._check(b)
@@ -226,20 +451,8 @@ class FieldCtx:
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
-    def _mul_raw(self, a: int, b: int) -> int:
-        if self.n == 1:
-            return (a * b) % self.p
-        prod = _pmul(self.decode(a), self.decode(b), self.p)
-        return self.encode(_pmod(prod, self.modulus, self.p) + [0] * self.n)
-
     def mul(self, a: int, b: int) -> int:
         self._check(a), self._check(b)
-        rows = self._mul_rows
-        if rows is None and self.q <= TABLE_LIMIT:
-            self._build_tables()
-            rows = self._mul_rows
-        if rows is not None:
-            return rows[a][b]
         return self._mul_raw(a, b)
 
     def inv(self, a: int) -> int:
@@ -247,8 +460,6 @@ class FieldCtx:
         self._check(a)
         if a == 0:
             raise DivisionByZero(f"inverse of 0 in {self!r}")
-        if self._inv_row is not None:
-            return self._inv_row[a]
         if self.n == 1:
             old_r, r = a, self.p
             old_s, s = 1, 0
@@ -287,20 +498,6 @@ class FieldCtx:
         res = [(c_inv * x) % p for x in old_s]
         return self.encode(res + [0] * self.n)
 
-    def pow(self, a: int, e: int) -> int:
-        self._check(a)
-        if e < 0:
-            a = self.inv(a)
-            e = -e
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
-
     def frobenius(self, a: int, k: int) -> int:
         """k-fold Frobenius a -> a^(p^k); k reduces mod n (Galois closure)."""
         self._check(a)
@@ -310,66 +507,23 @@ class FieldCtx:
             a = self.pow(a, self.p)
         return a
 
-    # lookup tables
+    @property
+    def rows(self) -> LookupRows:
+        """Views that call the checked ops, so the kernels written against
+        the rows of a tabulated field run unchanged here."""
 
-    def _build_tables(self) -> None:
-        q = self.q
-        rows = [[self._mul_raw(a, b) for b in range(q)] for a in range(q)]
-        inv_row = [0] * q
-        if self.n == 1:
-            for a in range(1, q):
-                inv_row[a] = pow(a, q - 2, q)
-        else:
-            for a in range(1, q):
-                inv_row[a] = self._poly_inv(a)
-        self._mul_rows = rows
-        self._inv_row = inv_row
-        p, n = self.p, self.n
-        idx = np.arange(q, dtype=np.int64)
-        if n == 1:
-            add = (idx[:, None] + idx[None, :]) % p
-            neg = (-idx) % p
-        else:
-            dig = np.zeros((q, n), dtype=np.int64)
-            k = idx.copy()
-            for i in range(n):
-                dig[:, i] = k % p
-                k //= p
-            weights = p ** np.arange(n, dtype=np.int64)
-            add = ((dig[:, None, :] + dig[None, :, :]) % p) @ weights
-            neg = ((-dig) % p) @ weights
-        mul = np.array(rows, dtype=np.int64)
-        sub = add[:, neg]
-        self._np_tables = FieldTables(
-            add=add.astype(np.int64),
-            sub=sub.astype(np.int64),
-            mul=mul,
-            neg=neg.astype(np.int64),
-            inv=np.array(inv_row, dtype=np.int64),
+        def table(op):
+            return _Computed(lambda a: _Computed(functools.partial(op, a)))
+
+        return LookupRows(
+            add=table(self.add),
+            sub=table(self.sub),
+            mul=table(self.mul),
+            neg=_Computed(self.neg),
+            inv=_Computed(self.inv),
+            frob=table(lambda k, a: self.frobenius(a, k)),
+            arrays=None,
         )
 
-    @property
-    def has_tables(self) -> bool:
-        return self.q <= TABLE_LIMIT
-
-    def tables(self) -> Optional[FieldTables]:
-        if not self.has_tables:
-            return None
-        if self._np_tables is None:
-            self._build_tables()
-        return self._np_tables
-
-    # serialization
-
-    def to_json(self) -> dict:
-        return {"p": self.p, "n": self.n, "modulus": list(self.modulus)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FieldCtx":
-        try:
-            p = int(data["p"])
-            n = int(data.get("n", 1))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidField(f"bad field record: {exc}") from exc
-        modulus = data.get("modulus")
-        return cls(p, n, modulus)
+    def tables(self) -> None:
+        return None

@@ -23,10 +23,10 @@ class Form:
 
     @staticmethod
     def make(ctx: FieldCtx, deg: int, coeffs: Iterable[int]) -> "Form":
-        cs = tuple(int(c) for c in coeffs)
-        if any(not 0 <= c < ctx.q for c in cs):
+        cs = tuple(map(int, coeffs))
+        if cs and (min(cs) < 0 or max(cs) >= ctx.q):
             raise ValueError("coefficients must be canonical field elements")
-        if all(c == 0 for c in cs):
+        if not any(cs):
             return Form(ctx, deg, ())
         if deg < 0 or len(cs) != deg + 1:
             raise ValueError(f"need {deg + 1} coefficients for degree {deg}")
@@ -76,11 +76,13 @@ class Form:
         if self.deg != other.deg:
             raise DegreeMismatch(f"cannot add degrees {self.deg} and {other.deg}")
         ctx = self.ctx
-        return Form.make(ctx, self.deg, [ctx.add(a, b) for a, b in zip(self.coeffs, other.coeffs)])
+        add = ctx.rows.add
+        return Form.make(ctx, self.deg, [add[a][b] for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self) -> "Form":
         ctx = self.ctx
-        return Form(ctx, self.deg, tuple(ctx.neg(c) for c in self.coeffs))
+        neg = ctx.rows.neg
+        return Form(ctx, self.deg, tuple(neg[c] for c in self.coeffs))
 
     def __sub__(self, other: "Form") -> "Form":
         return self + (-other)
@@ -89,7 +91,8 @@ class Form:
         ctx = self.ctx
         if c == 0 or self.is_zero:
             return Form.zero(ctx, self.deg)
-        return Form.make(ctx, self.deg, [ctx.mul(c, a) for a in self.coeffs])
+        by_c = ctx.rows.mul[ctx._check(c)]
+        return Form.make(ctx, self.deg, [by_c[a] for a in self.coeffs])
 
     def __mul__(self, other: "Form") -> "Form":
         if self.ctx != other.ctx:
@@ -98,12 +101,14 @@ class Form:
         if self.is_zero or other.is_zero:
             return Form.zero(self.ctx, deg)
         ctx = self.ctx
+        add, mul = ctx.rows.add, ctx.rows.mul
         out = [0] * (deg + 1)
+        live = [(j, b) for j, b in enumerate(other.coeffs) if b]
         for i, a in enumerate(self.coeffs):
             if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] = ctx.add(out[i + j], ctx.mul(a, b))
+                by_a = mul[a]
+                for j, b in live:
+                    out[i + j] = add[out[i + j]][by_a[b]]
         return Form.make(ctx, deg, out)
 
     def frob_power(self, r: int) -> "Form":
@@ -119,9 +124,10 @@ class Form:
         deg = self.deg * pr
         if self.is_zero:
             return Form.zero(ctx, deg)
+        frob = ctx.rows.frob[r % ctx.n]
         out = [0] * (deg + 1)
         for j, a in enumerate(self.coeffs):
-            out[j * pr] = ctx.frobenius(a, r)
+            out[j * pr] = frob[a]
         return Form.make(ctx, deg, out)
 
     def pow_int(self, k: int) -> "Form":
@@ -195,23 +201,30 @@ class Form:
 
 def _uni_divmod(a: list[int], b: list[int], ctx: FieldCtx) -> list[int]:
     """Remainder of univariate a by nonzero b, coefficients in ctx."""
+    rows = ctx.rows
+    sub, mul = rows.sub, rows.mul
     r = list(a)
-    lead_inv = ctx.inv(b[-1])
+    by_lead_inv = mul[rows.inv[b[-1]]]
     while r and len(r) >= len(b):
-        c = ctx.mul(r[-1], lead_inv)
+        by_c = mul[by_lead_inv[r[-1]]]
         shift = len(r) - len(b)
-        for i in range(len(b)):
-            r[shift + i] = ctx.sub(r[shift + i], ctx.mul(c, b[i]))
+        for i, bi in enumerate(b):
+            r[shift + i] = sub[r[shift + i]][by_c[bi]]
         while r and r[-1] == 0:
             r.pop()
     return r
 
 
+def _monic(a: list[int], ctx: FieldCtx) -> list[int]:
+    rows = ctx.rows
+    by_inv = rows.mul[rows.inv[a[-1]]]
+    return [by_inv[c] for c in a]
+
+
 def _uni_gcd(a: list[int], b: list[int], ctx: FieldCtx) -> list[int]:
     while b:
         a, b = b, _uni_divmod(a, b, ctx)
-    inv = ctx.inv(a[-1])
-    return [ctx.mul(inv, c) for c in a]
+    return _monic(a, ctx)
 
 
 def form_gcd(forms: Sequence[Form]) -> Form:
@@ -234,8 +247,7 @@ def form_gcd(forms: Sequence[Form]) -> Form:
         if len(g) == 1 and s_val == 0:
             break
     if g[-1] != 1:
-        inv = ctx.inv(g[-1])
-        g = [ctx.mul(inv, c) for c in g]
+        g = _monic(g, ctx)
     deg_t = len(g) - 1
     out = [0] * (s_val + deg_t + 1)
     for j, c in enumerate(g):

@@ -72,9 +72,11 @@ def roots_of_unity(ctx, d: int) -> list[int]:
 
 
 def _min_scaled(ctx, coeffs: tuple[int, ...], units: Sequence[int]) -> tuple[int, ...]:
+    mul = ctx.rows.mul
     best = None
     for lam in units:
-        cand = tuple(ctx.mul(lam, c) for c in coeffs)
+        by_lam = mul[lam]
+        cand = tuple(by_lam[c] for c in coeffs)
         if best is None or cand < best:
             best = cand
     return best
@@ -112,12 +114,11 @@ def projective_key(curve: Curve) -> tuple[tuple[int, ...], ...]:
     ctx = curve.ctx
     units = roots_of_unity(ctx, curve.params.d)
     base = _coeff_rows(curve)
+    mul = ctx.rows.mul
     best = None
     for lam in range(1, ctx.q):
-        rows = [
-            _min_scaled(ctx, tuple(ctx.mul(lam, c) for c in row), units)
-            for row in base
-        ]
+        by_lam = mul[lam]
+        rows = [_min_scaled(ctx, tuple(by_lam[c] for c in row), units) for row in base]
         cand = tuple(sorted(rows))
         if best is None or cand < best:
             best = cand

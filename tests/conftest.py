@@ -96,3 +96,9 @@ def corpus(params44, params55, params43, line44, line55):
     assert scan
     out.append(("scan43", scan[0]))
     return out
+
+
+@pytest.fixture(scope="session")
+def gf729():
+    # above the table limit: every op computes on base-3 digits
+    return FieldCtx(3, 6)

@@ -1,9 +1,12 @@
 """Curve model: validation, the defining expansion against a naive powering
 oracle, and the geometric constructions."""
 
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermatrc.errors import (
     BadRoot,
@@ -26,7 +29,10 @@ from fermatrc.fermat import (
     roots_of_minus_one,
     validate,
 )
+from fermatrc.ff import FieldCtx
 from fermatrc.forms import Form
+from fermatrc.rng import SplitMix64
+from fermatrc.search import SearchConfig, random_cover_family
 from fermatrc.splitbundle import splitting_f, splitting_omega_p, splitting_tx
 
 from conftest import power_pair
@@ -83,6 +89,72 @@ def test_expand_f_matches_naive_powers(params44, params55):
             assert fast.is_zero == naive.is_zero
             if not fast.is_zero:
                 assert fast.coeffs == naive.coeffs
+
+
+def _expand_f_by_forms(params, forms):
+    """The unfused expansion, one Frobenius power, product and sum per
+    coordinate: the reference for the fused kernel."""
+    acc = None
+    for f in forms:
+        term = f.frob_power(params.r) * f
+        acc = term if acc is None else acc + term
+    return acc
+
+
+# field name -> (p, r, n): X_(p^r+1) over GF(p^n); GF(729) is above the table limit
+_EXPANSION_FIELDS = {
+    "GF(9)": (3, 1, 2),
+    "GF(16)": (2, 2, 4),
+    "GF(25)": (5, 1, 2),
+    "GF(729)": (3, 1, 6),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _expansion_line(field, N):
+    p, r, n = _EXPANSION_FIELDS[field]
+    params = FermatParams.make(p, r, N, ctx=FieldCtx(p, n))
+    root = roots_of_minus_one(params.ctx, params.d)[0]
+    return make_line(params, root, root)
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(
+    field=st.sampled_from(sorted(_EXPANSION_FIELDS)),
+    N=st.integers(3, 5),
+    e=st.integers(1, 3),
+    on_x=st.booleans(),
+    zeros=st.sets(st.integers(0, 5)),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_fused_expansion_matches_the_unfused_sum(field, N, e, on_x, zeros, seed):
+    line = _expansion_line(field, N)
+    params, ctx = line.params, line.ctx
+    if on_x:
+        forms = list(random_cover_family(SearchConfig(params, e, seed), line, 1)[0].forms)
+    else:
+        rng = SplitMix64(seed)
+        forms = [
+            Form.zero(ctx, e) if i in zeros
+            else Form.make(ctx, e, [rng.below(ctx.q) for _ in range(e + 1)])
+            for i in range(N + 1)
+        ]
+    fused = expand_F(params, forms)
+    reference = _expand_f_by_forms(params, forms)
+    assert (fused.deg, fused.coeffs) == (reference.deg, reference.coeffs)
+    assert fused.deg == params.d * e
+    if on_x:
+        assert fused.is_zero
+
+
+def test_expansion_refuses_mixed_degrees(params44):
+    ctx = params44.ctx
+    forms = _forms(ctx, 1, [[1, 0], [0, 1], [0, 0], [0, 0]]) + _forms(ctx, 2, [[1, 2, 1]])
+    with pytest.raises(DegreeMismatch):
+        expand_F(params44, forms)
+    # zero coordinates carry no degree of their own
+    forms = _forms(ctx, 1, [[1, 0], [0, 1], [0, 0], [0, 0]]) + [Form.zero(ctx, 2)]
+    assert expand_F(params44, forms).deg == params44.d
 
 
 def test_roots_of_minus_one(gf9, gf4):

@@ -74,9 +74,9 @@ def test_frob_power_fixtures(gf2, gf3):
     assert Form.make(gf3, 1, [1, 2]).frob_power(1).coeffs == (1, 0, 0, 2)
 
 
-def test_frob_power_matches_naive_power(gf9, gf4):
+def test_frob_power_matches_naive_power(gf9, gf4, gf729):
     rng = random.Random(41)
-    for ctx, p in ((gf9, 3), (gf4, 2)):
+    for ctx, p in ((gf9, 3), (gf4, 2), (gf729, 3)):
         for _ in range(150):
             f = _random_form(rng, ctx, rng.randrange(1, 4))
             r = rng.randrange(1, 3)
@@ -109,15 +109,15 @@ def test_gcd_fixtures(gf3, gf2):
     assert form_gcd([lhs, rhs]).coeffs == (1, 1)
 
 
-def test_gcd_divides_every_input(gf9):
+def test_gcd_divides_every_input(gf9, gf729):
     rng = random.Random(47)
-    for _ in range(60):
-        common = Form.zero(gf9, 0)
+    for ctx in (gf9,) * 60 + (gf729,) * 20:
+        common = Form.zero(ctx, 0)
         while common.is_zero:
-            common = _random_form(rng, gf9, rng.randrange(3))
+            common = _random_form(rng, ctx, rng.randrange(3))
         forms = []
         while len(forms) < 3:
-            f = _random_form(rng, gf9, rng.randrange(3))
+            f = _random_form(rng, ctx, rng.randrange(3))
             if not f.is_zero:
                 forms.append(f * common)
         g = form_gcd(forms)
