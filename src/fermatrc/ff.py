@@ -17,7 +17,9 @@ checking the arguments, and the hot kernels of ``forms``, ``fermat`` and
 the numpy tables behind the vectorized row operations of ``linalg``: it
 takes O(q) field multiplications (exp and log of a primitive element), runs
 on first use and is published by a single assignment.  Larger fields
-compute each op on base-p digits.
+compute each op on base-p digits and expose the same rows and tables as
+views that compute their entries, so only this module knows which fields
+are tabulated.
 
 Splitting types are geometric invariants, so computing over a fixed finite
 model such as GF(p^(2r)) loses nothing.
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -35,6 +37,8 @@ from .errors import DivisionByZero, InvalidField
 
 MAX_Q = 1 << 63  # every encoding fits the int64 arrays of linalg
 TABLE_LIMIT = 512
+
+Table = Any  # an int64 array over range(q), or a view indexed the same way
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -168,13 +172,17 @@ def find_irreducible(p: int, n: int) -> list[int]:
 
 @dataclass(frozen=True)
 class FieldTables:
-    """Numpy lookup tables over range(q); inv[0] is a 0 sentinel."""
+    """Lookup tables over range(q), indexed with numpy broadcasting:
+    add[a, b] is a + b elementwise, likewise sub and mul, neg[a] is -a and
+    inv[a] is 1/a with inv[0] a 0 sentinel.  Tabulated fields hold int64
+    arrays; larger fields hold views that compute each entry and return
+    int64 in the broadcast shape."""
 
-    add: np.ndarray
-    sub: np.ndarray
-    mul: np.ndarray
-    neg: np.ndarray
-    inv: np.ndarray
+    add: Table
+    sub: Table
+    mul: Table
+    neg: Table
+    inv: Table
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,7 +191,7 @@ class LookupRows:
     mul, neg[a] is -a, inv[a] is 1/a (inv[0] is a 0 sentinel for tabulated
     fields) and frob[k][a] is a^(p^k) for 0 <= k < n.  Indices must be
     canonical elements; nothing is checked.  ``arrays`` holds the same
-    tables as numpy arrays, or None for a field too large to tabulate."""
+    tables for vectorized use."""
 
     add: Sequence
     sub: Sequence
@@ -191,7 +199,7 @@ class LookupRows:
     neg: Sequence
     inv: Sequence
     frob: Sequence
-    arrays: Optional[FieldTables]
+    arrays: FieldTables
 
 
 def _prime_factors(m: int) -> list[int]:
@@ -210,11 +218,10 @@ class FieldCtx:
 
     Fields with q <= TABLE_LIMIT answer every scalar op by one lookup in
     ``rows``.  Larger fields are instances of a subclass that computes on
-    base-p digits; ``__new__`` picks the class once, so neither kind
-    branches on it per operation.
+    base-p digits and offers ``rows`` and ``tables()`` as computing views;
+    ``__new__`` picks the class once, so neither kind branches on it per
+    operation.
     """
-
-    has_tables = True
 
     def __new__(cls, p: int, n: int = 1, modulus: Optional[Sequence[int]] = None):
         if cls is FieldCtx and _check_field(p, n) > TABLE_LIMIT:
@@ -398,8 +405,8 @@ class FieldCtx:
             e >>= 1
         return result
 
-    def tables(self) -> Optional[FieldTables]:
-        """The numpy tables, or None for a field too large to tabulate."""
+    def tables(self) -> FieldTables:
+        """The tables behind the vectorized row operations of ``linalg``."""
         return self.rows.arrays
 
     # serialization
@@ -430,10 +437,30 @@ class _Computed:
         return self.fn(x)
 
 
+class _Broadcast:
+    """A table view that computes its entries: view[a, b] (view[a] for a
+    unary op) applies fn elementwise with numpy broadcasting and returns
+    int64 in the broadcast shape, as indexing a lookup table would."""
+
+    __slots__ = ("ufunc",)
+
+    def __init__(self, fn, nin: int):
+        self.ufunc = np.frompyfunc(fn, nin, 1)
+
+    def __getitem__(self, key):
+        args = key if isinstance(key, tuple) else (key,)
+        return np.asarray(self.ufunc(*args), dtype=np.int64)[()]
+
+
 class _DigitFieldCtx(FieldCtx):
     """A field above TABLE_LIMIT: each op computes on base-p digits."""
 
-    has_tables = False
+    def __init__(self, p: int, n: int = 1, modulus: Optional[Sequence[int]] = None):
+        super().__init__(p, n, modulus)
+        # Set here, not cached on first use: caching writes through the
+        # instance __dict__, and on CPython 3.11 a materialized __dict__
+        # slows every attribute read of the digit arithmetic.
+        self.rows = self._build_tables()
 
     def add(self, a: int, b: int) -> int:
         self._check(a), self._check(b)
@@ -456,18 +483,13 @@ class _DigitFieldCtx(FieldCtx):
         return self._mul_raw(a, b)
 
     def inv(self, a: int) -> int:
-        """Multiplicative inverse by extended Euclid on representatives."""
+        """Multiplicative inverse: modular inverse in a prime field, else
+        extended Euclid against the modulus."""
         self._check(a)
         if a == 0:
             raise DivisionByZero(f"inverse of 0 in {self!r}")
         if self.n == 1:
-            old_r, r = a, self.p
-            old_s, s = 1, 0
-            while r:
-                qt = old_r // r
-                old_r, r = r, old_r - qt * r
-                old_s, s = s, old_s - qt * s
-            return old_s % self.p
+            return pow(a, -1, self.p)
         return self._poly_inv(a)
 
     def _poly_inv(self, a: int) -> int:
@@ -507,10 +529,9 @@ class _DigitFieldCtx(FieldCtx):
             a = self.pow(a, self.p)
         return a
 
-    @property
-    def rows(self) -> LookupRows:
+    def _build_tables(self) -> LookupRows:
         """Views that call the checked ops, so the kernels written against
-        the rows of a tabulated field run unchanged here."""
+        the rows and tables of a tabulated field run unchanged here."""
 
         def table(op):
             return _Computed(lambda a: _Computed(functools.partial(op, a)))
@@ -522,8 +543,11 @@ class _DigitFieldCtx(FieldCtx):
             neg=_Computed(self.neg),
             inv=_Computed(self.inv),
             frob=table(lambda k, a: self.frobenius(a, k)),
-            arrays=None,
+            arrays=FieldTables(
+                add=_Broadcast(self.add, 2),
+                sub=_Broadcast(self.sub, 2),
+                mul=_Broadcast(self.mul, 2),
+                neg=_Broadcast(self.neg, 1),
+                inv=_Broadcast(lambda a: self.inv(a) if a else 0, 1),
+            ),
         )
-
-    def tables(self) -> None:
-        return None

@@ -1,10 +1,10 @@
 """Dense exact linear algebra over a FieldCtx.
 
-Matrices are numpy int64 arrays of canonical element encodings.  For small
-fields the row operations run vectorized through the context's lookup
-tables; larger fields fall back to scalar arithmetic.  Both paths use the
-same elimination order (columns left to right, first row with a nonzero
-entry as pivot), so results are identical and reproducible.
+Matrices are numpy int64 arrays of canonical element encodings.  Every row
+operation runs vectorized through the context's tables (``ctx.tables()``),
+which for fields too large to tabulate compute their entries, so every
+field takes the same path and the same elimination order (columns left to
+right, first row with a nonzero entry as pivot).
 
 Since reduced row echelon form is unique for a fixed column order, every
 routine here is deterministic: kernel bases are read off free columns in
@@ -38,49 +38,27 @@ def rref(ctx: FieldCtx, mat: Matrix) -> tuple[np.ndarray, list[int]]:
     T = ctx.tables()
     pivots: list[int] = []
     r = 0
-    if T is not None:
-        for c in range(cols):
-            if r == rows:
-                break
-            nz = np.nonzero(M[r:, c])[0]
-            if nz.size == 0:
-                continue
-            pr = r + int(nz[0])
-            if pr != r:
-                M[[r, pr]] = M[[pr, r]]
-            piv = int(M[r, c])
-            if piv != 1:
-                M[r] = T.mul[T.inv[piv], M[r]]
-            colvals = M[:, c].copy()
-            colvals[r] = 0
-            other = np.nonzero(colvals)[0]
-            if other.size:
-                factors = M[other, c]
-                M[other] = T.sub[M[other], T.mul[factors[:, None], M[r][None, :]]]
-            pivots.append(c)
-            r += 1
-        return M, pivots
-    rows_py = [[int(x) for x in row] for row in M]
     for c in range(cols):
         if r == rows:
             break
-        pr = next((i for i in range(r, rows) if rows_py[i][c]), None)
-        if pr is None:
+        nz = np.nonzero(M[r:, c])[0]
+        if nz.size == 0:
             continue
+        pr = r + int(nz[0])
         if pr != r:
-            rows_py[r], rows_py[pr] = rows_py[pr], rows_py[r]
-        piv = rows_py[r][c]
+            M[[r, pr]] = M[[pr, r]]
+        piv = int(M[r, c])
         if piv != 1:
-            inv = ctx.inv(piv)
-            rows_py[r] = [ctx.mul(inv, x) for x in rows_py[r]]
-        prow = rows_py[r]
-        for i in range(rows):
-            if i != r and rows_py[i][c]:
-                f = rows_py[i][c]
-                rows_py[i] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(rows_py[i], prow)]
+            M[r] = T.mul[T.inv[piv], M[r]]
+        colvals = M[:, c].copy()
+        colvals[r] = 0
+        other = np.nonzero(colvals)[0]
+        if other.size:
+            factors = M[other, c]
+            M[other] = T.sub[M[other], T.mul[factors[:, None], M[r][None, :]]]
         pivots.append(c)
         r += 1
-    return np.array(rows_py, dtype=np.int64).reshape(rows, cols), pivots
+    return M, pivots
 
 
 def rank(ctx: FieldCtx, mat: Matrix) -> int:
@@ -103,15 +81,7 @@ def kernel_basis(ctx: FieldCtx, mat: Matrix) -> np.ndarray:
         return basis
     basis[range(len(free)), free] = 1
     if pivots:
-        T = ctx.tables()
-        if T is not None:
-            basis[:, np.array(pivots)] = T.neg[R[np.ix_(range(len(pivots)), free)]].T
-        else:
-            for i, f in enumerate(free):
-                for k, pc in enumerate(pivots):
-                    v = int(R[k, f])
-                    if v:
-                        basis[i, pc] = ctx.neg(v)
+        basis[:, np.array(pivots)] = ctx.tables().neg[R[np.ix_(range(len(pivots)), free)]].T
     return basis
 
 
@@ -149,20 +119,10 @@ class Echelon:
     def reduce(self, vec: Sequence[int]) -> np.ndarray:
         v = np.array(vec, dtype=np.int64, copy=True)
         T = self._T
-        if T is not None:
-            for pc, row in zip(self.pivots, self.rows):
-                c = int(v[pc])
-                if c:
-                    v = T.sub[v, T.mul[c, row]]
-            return v
-        ctx = self.ctx
         for pc, row in zip(self.pivots, self.rows):
             c = int(v[pc])
             if c:
-                v = np.array(
-                    [ctx.sub(int(x), ctx.mul(c, int(y))) for x, y in zip(v, row)],
-                    dtype=np.int64,
-                )
+                v = T.sub[v, T.mul[c, row]]
         return v
 
     def seed_rows(self, mat: Matrix) -> None:
@@ -182,18 +142,11 @@ class Echelon:
 
     def add(self, vec: Sequence[int]) -> bool:
         """True when vec was independent of the current rows."""
-        v = self.reduce(vec)
+        v = normalize_leading(self.ctx, self.reduce(vec))
         nz = np.nonzero(v)[0]
         if nz.size == 0:
             return False
         pc = int(nz[0])
-        lead = int(v[pc])
-        if lead != 1:
-            inv = self.ctx.inv(lead)
-            if self._T is not None:
-                v = self._T.mul[inv, v]
-            else:
-                v = np.array([self.ctx.mul(inv, int(x)) for x in v], dtype=np.int64)
         pos = 0
         while pos < len(self.pivots) and self.pivots[pos] < pc:
             pos += 1
@@ -215,8 +168,4 @@ def normalize_leading(ctx: FieldCtx, vec: Sequence[int]) -> np.ndarray:
     lead = int(v[int(nz[0])])
     if lead == 1:
         return v
-    inv = ctx.inv(lead)
-    T = ctx.tables()
-    if T is not None:
-        return T.mul[inv, v]
-    return np.array([ctx.mul(inv, int(x)) for x in v], dtype=np.int64)
+    return ctx.tables().mul[ctx.inv(lead), v]

@@ -147,19 +147,12 @@ def enumerate_standard_lines(params: FermatParams) -> list[Curve]:
 
 
 def _combine(ctx, basis: np.ndarray, coeffs: Sequence[int]) -> np.ndarray:
-    if ctx.has_tables:
-        T = ctx.tables()
-        acc = np.zeros(basis.shape[1], dtype=np.int64)
-        for c, row in zip(coeffs, basis):
-            if c:
-                acc = T.add[acc, T.mul[c, row]]
-        return acc
-    acc = [0] * basis.shape[1]
+    T = ctx.tables()
+    acc = np.zeros(basis.shape[1], dtype=np.int64)
     for c, row in zip(coeffs, basis):
         if c:
-            for j in range(len(acc)):
-                acc[j] = ctx.add(acc[j], ctx.mul(c, int(row[j])))
-    return np.array(acc, dtype=np.int64)
+            acc = T.add[acc, T.mul[c, row]]
+    return acc
 
 
 def _blocks_to_forms(ctx, e: int, n1: int, vec: np.ndarray) -> list[Form]:

@@ -100,5 +100,6 @@ def corpus(params44, params55, params43, line44, line55):
 
 @pytest.fixture(scope="session")
 def gf729():
-    # above the table limit: every op computes on base-3 digits
+    # above the table limit: every op computes on base-3 digits, and its
+    # rows and tables are views that compute their entries
     return FieldCtx(3, 6)

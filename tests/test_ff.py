@@ -179,9 +179,11 @@ def test_large_extension_fields_construct_quickly():
         t0 = time.perf_counter()
         ctx = FieldCtx(p, n)
         assert time.perf_counter() - t0 < 5.0
-        assert not ctx.has_tables and ctx.tables() is None
+        T = ctx.tables()
+        assert not isinstance(T.mul, np.ndarray) and T.inv[0] == 0
         a = ctx.q - 2
         assert ctx.mul(a, ctx.inv(a)) == 1
+        assert T.mul[a, T.inv[a]] == 1
 
 
 def _raw_pow(ctx, a, e):
@@ -276,7 +278,8 @@ def test_ops_refuse_non_canonical_arguments(gf9):
 
 
 def test_untabulated_field_is_chosen_by_size(gf9, gf729):
-    assert gf9.has_tables and gf729.q > TABLE_LIMIT and not gf729.has_tables
+    assert isinstance(gf9.tables().mul, np.ndarray) and gf729.q > TABLE_LIMIT
+    assert not isinstance(gf729.tables().mul, np.ndarray)
     rows = gf729.rows
     rng = random.Random(729)
     for _ in range(200):
@@ -286,6 +289,55 @@ def test_untabulated_field_is_chosen_by_size(gf9, gf729):
         assert rows.mul[a][b] == gf729.mul(a, b)
         assert rows.neg[a] == gf729.neg(a) and rows.inv[b] == gf729.inv(b)
         assert rows.frob[1][a] == gf729.pow(a, 3)
+
+
+def _view_inputs(rng, q):
+    """Canonical int64 inputs: 0-d, 1-D, 2-D and empty."""
+    return [
+        np.array(rng.randrange(q), dtype=np.int64),
+        np.array([0, 1, q - 1] + [rng.randrange(q) for _ in range(5)], dtype=np.int64),
+        np.array([[rng.randrange(q) for _ in range(4)] for _ in range(3)], dtype=np.int64),
+        np.zeros((0, 4), dtype=np.int64),
+    ]
+
+
+@pytest.mark.parametrize("p, n", [(3, 6), (2**61 - 1, 1)])
+def test_broadcasting_views_match_scalar_ops(p, n):
+    ctx = FieldCtx(p, n)
+    T = ctx.tables()
+    assert not isinstance(T.mul, np.ndarray)
+    assert T.inv[0] == 0 and T.inv[np.zeros(3, dtype=np.int64)].tolist() == [0, 0, 0]
+    binary = {"add": ctx.add, "sub": ctx.sub, "mul": ctx.mul}
+    unary = {"neg": ctx.neg, "inv": lambda a: ctx.inv(a) if a else 0}
+    rng = random.Random(p)
+    inputs = _view_inputs(rng, ctx.q)
+    for x in inputs:
+        for name, op in unary.items():
+            out = getattr(T, name)[x]
+            assert out.dtype == np.int64 and np.shape(out) == x.shape
+            assert np.ravel(out).tolist() == [op(int(u)) for u in x.ravel()]
+        # a same-shape pair, and a column against a row for an outer table
+        flat = x.reshape(-1)
+        for a, b in ((x, x[::-1].copy() if x.ndim else x), (flat[:, None], flat)):
+            shape = np.broadcast_shapes(a.shape, b.shape)
+            for name, op in binary.items():
+                out = getattr(T, name)[a, b]
+                assert out.dtype == np.int64 and np.shape(out) == shape
+                pairs = zip(*(np.broadcast_to(t, shape).ravel() for t in (a, b)))
+                assert np.ravel(out).tolist() == [op(int(u), int(v)) for u, v in pairs]
+
+
+def test_prime_field_inverses():
+    gf1009 = FieldCtx(1009)
+    assert all(gf1009.mul(a, gf1009.inv(a)) == 1 for a in range(1, 1009))
+    big = FieldCtx(2**61 - 1)
+    rng = random.Random(61)
+    for a in [1, 2, big.q - 1] + [rng.randrange(1, big.q) for _ in range(200)]:
+        assert big.mul(a, big.inv(a)) == 1
+        assert big.inv(a) == pow(a, big.q - 2, big.q)
+    for ctx in (gf1009, big):
+        with pytest.raises(DivisionByZero):
+            ctx.inv(0)
 
 
 def test_lazy_tables_are_race_free():

@@ -1,5 +1,6 @@
-"""Exact linear algebra over field contexts, on both the table-driven path
-(small q) and the scalar fallback (q above the table limit)."""
+"""Exact linear algebra over field contexts.  Every field takes one
+vectorized path; tabulated fields index numpy tables and larger fields
+computing views, and the two kinds of one field must agree exactly."""
 
 import random
 
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 from fermatrc import linalg
-from fermatrc.ff import FieldCtx
+from fermatrc.ff import FieldCtx, _DigitFieldCtx
+from fermatrc.search import _combine
 
 
 def _random_matrix(rng, ctx, rows, cols):
@@ -98,9 +100,65 @@ def test_seed_rows_matches_sequential_adds(gf9):
             assert bool(a.any()) == bool(b.any())
 
 
-def test_scalar_fallback_path_agrees():
+def _agreement_matrices(rng, ctx):
+    """Seeded matrices, including the empty, all-zero and rank-deficient
+    shapes the routines treat specially."""
+    mats = [np.zeros(shape, dtype=np.int64) for shape in ((0, 4), (3, 0), (0, 0), (3, 5))]
+    mats += [_random_matrix(rng, ctx, r, c) for r, c in ((4, 6), (6, 4), (5, 5), (1, 3))]
+    low = _random_matrix(rng, ctx, 2, 6)
+    mats.append(np.vstack([low, low[::-1], low]))
+    return mats
+
+
+def _assert_same(a, b):
+    if a is None or b is None:
+        assert a is None and b is None
+    else:
+        assert a.dtype == b.dtype == np.int64 and a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
+def test_digit_and_table_fields_agree():
+    for p, n in ((3, 2), (2, 6), (5, 3)):
+        tab, dig = FieldCtx(p, n), _DigitFieldCtx(p, n)
+        assert tab == dig and tab.modulus == dig.modulus
+        assert isinstance(tab.tables().mul, np.ndarray)
+        assert not isinstance(dig.tables().mul, np.ndarray)
+        rng = random.Random(tab.q)
+        for M in _agreement_matrices(rng, tab):
+            rows, cols = M.shape
+            (R1, P1), (R2, P2) = linalg.rref(tab, M), linalg.rref(dig, M)
+            assert P1 == P2
+            _assert_same(R1, R2)
+            assert linalg.rank(tab, M) == linalg.rank(dig, M) == len(P1)
+            K = linalg.kernel_basis(tab, M)
+            _assert_same(K, linalg.kernel_basis(dig, M))
+            rhs_list = [[rng.randrange(tab.q) for _ in range(rows)]]
+            if cols:
+                rhs_list.append(M[:, 0].tolist())
+            for rhs in rhs_list:
+                _assert_same(linalg.solve(tab, M, rhs), linalg.solve(dig, M, rhs))
+            probes = _random_matrix(rng, tab, 4, cols)
+            echelons = [linalg.Echelon(ctx, cols) for ctx in (tab, dig)]
+            for ech in echelons:
+                ech.seed_rows(M[: rows // 2])
+            for row in list(M[rows // 2 :]) + list(probes[:2]):
+                assert echelons[0].add(row) == echelons[1].add(row)
+            assert echelons[0].pivots == echelons[1].pivots
+            for r1, r2 in zip(echelons[0].rows, echelons[1].rows):
+                _assert_same(r1, r2)
+            for v in list(probes) + list(M):
+                _assert_same(echelons[0].reduce(v), echelons[1].reduce(v))
+                _assert_same(linalg.normalize_leading(tab, v), linalg.normalize_leading(dig, v))
+            for basis in (M, K):
+                coeffs = [rng.randrange(tab.q) for _ in range(basis.shape[0])]
+                _assert_same(_combine(tab, basis, coeffs), _combine(dig, basis, coeffs))
+        inconsistent = ([[1, 1], [1, 1]], [0, 1])
+        assert linalg.solve(tab, *inconsistent) is None
+        assert linalg.solve(dig, *inconsistent) is None
+    # GF(625) has only the digit kind: check its kernels directly
     big = FieldCtx(5, 4)
-    assert big.tables() is None
+    assert not isinstance(big.tables().mul, np.ndarray)
     rng = random.Random(17)
     M = _random_matrix(rng, big, 3, 6)
     K = linalg.kernel_basis(big, M)
