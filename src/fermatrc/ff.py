@@ -11,15 +11,25 @@ When none is supplied the deterministic default is the irreducible whose
 coefficient vector (constant term first) has the smallest base-p integer
 encoding, so a given (p, n) always names the same field presentation.
 
-Fields with q <= TABLE_LIMIT answer every scalar op by one lookup after
-checking the arguments, and the hot kernels of ``forms``, ``fermat`` and
-``search`` index the same rows directly.  One build makes all of them and
-the numpy tables behind the vectorized row operations of ``linalg``: it
-takes O(q) field multiplications (exp and log of a primitive element), runs
-on first use and is published by a single assignment.  Larger fields
-compute each op on base-p digits and expose the same rows and tables as
-views that compute their entries, so only this module knows which fields
-are tabulated.
+Every field with q <= LOG_LIMIT gets its arithmetic from one O(q) build,
+run on first use and published by a single assignment: exp and log of a
+primitive element (for mul, inv and Frobenius), negation as multiplication
+by -1, and addition from digitwise-add tables over half of the base-p
+digits.  Three tiers follow from it:
+
+* q <= TABLE_LIMIT: the build ends with full q x q add, sub and mul tables,
+  so every scalar op is one lookup in plain-list rows after checking the
+  arguments, and the row operations of ``linalg`` are one numpy gather;
+* TABLE_LIMIT < q <= LOG_LIMIT: no table has more than a few times q
+  entries.  The numpy tables are views that run a few numpy ops each
+  (mul is exp[log a + log b]), and the scalar rows run the same code on
+  memoryviews of the same arrays, so they return Python ints.  GF(729)
+  builds in about 3 ms and GF(2^19) in about 0.2 s;
+* larger fields compute each op on base-p digits and expose the same rows
+  and tables as views that call those ops.
+
+The hot kernels of ``forms``, ``fermat`` and ``search`` index the rows
+directly, so only this module knows which tier a field is in.
 
 Splitting types are geometric invariants, so computing over a fixed finite
 model such as GF(p^(2r)) loses nothing.
@@ -36,7 +46,8 @@ import numpy as np
 from .errors import DivisionByZero, InvalidField
 
 MAX_Q = 1 << 63  # every encoding fits the int64 arrays of linalg
-TABLE_LIMIT = 512
+TABLE_LIMIT = 512  # full q x q tables up to here
+LOG_LIMIT = 1 << 19  # O(q) exp/log tables up to here, digit arithmetic above
 
 Table = Any  # an int64 array over range(q), or a view indexed the same way
 
@@ -174,9 +185,10 @@ def find_irreducible(p: int, n: int) -> list[int]:
 class FieldTables:
     """Lookup tables over range(q), indexed with numpy broadcasting:
     add[a, b] is a + b elementwise, likewise sub and mul, neg[a] is -a and
-    inv[a] is 1/a with inv[0] a 0 sentinel.  Tabulated fields hold int64
-    arrays; larger fields hold views that compute each entry and return
-    int64 in the broadcast shape."""
+    inv[a] is 1/a with inv[0] a 0 sentinel.  Fields up to TABLE_LIMIT hold
+    int64 arrays.  Larger fields hold views that compute each entry and
+    return int64 in the broadcast shape; up to LOG_LIMIT, neg and inv stay
+    arrays of length q."""
 
     add: Table
     sub: Table
@@ -188,10 +200,10 @@ class FieldTables:
 @dataclass(frozen=True, eq=False)
 class LookupRows:
     """Scalar arithmetic as indexing: add[a][b] is a + b, likewise sub and
-    mul, neg[a] is -a, inv[a] is 1/a (inv[0] is a 0 sentinel for tabulated
-    fields) and frob[k][a] is a^(p^k) for 0 <= k < n.  Indices must be
-    canonical elements; nothing is checked.  ``arrays`` holds the same
-    tables for vectorized use."""
+    mul, neg[a] is -a, inv[a] is 1/a (inv[0] is a 0 sentinel up to
+    LOG_LIMIT) and frob[k][a] is a^(p^k) for 0 <= k < n, all Python ints.
+    Indices must be canonical elements; nothing is checked.  ``arrays``
+    holds the same tables for vectorized use."""
 
     add: Sequence
     sub: Sequence
@@ -213,18 +225,105 @@ def _prime_factors(m: int) -> list[int]:
     return out + ([m] if m > 1 else [])
 
 
+def _digit_add_table(p: int, k: int) -> np.ndarray:
+    """Digitwise addition mod p of a, b < p^k as a p^k x p^k table, built
+    one digit at a time with the lowest digit as the fastest index."""
+    one = np.add.outer(np.arange(p), np.arange(p)) % p
+    table = np.zeros((1, 1), dtype=np.int64)
+    for _ in range(k):
+        size = len(table) * p
+        table = (p * table[:, None, :, None] + one[None, :, None, :]).reshape(size, size)
+    return table
+
+
+class _LogArith:
+    """add, sub, mul and Frobenius of a field with q <= LOG_LIMIT from its
+    O(q) tables.  The tables are numpy arrays or memoryviews of the same
+    arrays, and the code is the same for both: one instance answers
+    vectorized calls, another scalar calls with Python ints.
+
+    exp holds g^i for i < 2(q - 1) and zeros after, and log[0] points into
+    the zeros, so exp[log a + log b] is a*b with neither a reduction nor a
+    test for 0.  Addition is digitwise: with m = p^(n//2), a splits into
+    base-m parts (three for odd n, the top one a single digit), and each
+    part adds by lookup in ``low`` or ``top``, tables of at most q entries
+    premultiplied by the part's place value.
+    """
+
+    __slots__ = ("p", "units", "m", "low", "top", "exp", "log", "neg")
+
+    def __init__(self, p: int, units: int, m: int, low: tuple, top):
+        self.p, self.units, self.m, self.low, self.top = p, units, m, low, top
+        self.exp = self.log = self.neg = None  # set once the powers of g are known
+
+    def add(self, a, b):
+        m, out = self.m, 0
+        for table in self.low:
+            a, ra = divmod(a, m)
+            b, rb = divmod(b, m)
+            out += table[ra, rb]
+        return self.top[a, b] + out
+
+    def sub(self, a, b):
+        return self.add(a, self.neg[b])
+
+    def mul(self, a, b):
+        return self.exp[self.log[a] + self.log[b]]
+
+    def frobenius(self, pk: int, a):
+        """a^(p^k), given pk = p^k mod (q - 1)."""
+        return self.exp[self.log[a] * pk % self.units] * (a != 0)
+
+    def over_memoryviews(self) -> "_LogArith":
+        """The same arithmetic on scalars, answering with Python ints."""
+
+        def view(x):
+            return None if x is None else memoryview(x)
+
+        out = type(self)(self.p, self.units, self.m, tuple(map(view, self.low)), view(self.top))
+        out.exp, out.log, out.neg = view(self.exp), view(self.log), view(self.neg)
+        return out
+
+
+class _PrimeLogArith(_LogArith):
+    """A prime field adds mod p; a table of digit sums would be q x q."""
+
+    __slots__ = ()
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+
+class _BuiltOnFirstUse:
+    """``rows``: the first read builds the tables and publishes them by
+    one plain attribute assignment, which every later read finds before
+    this descriptor.  Concurrent first reads may each build, but every
+    build is complete and equal.  functools.cached_property would write
+    through the instance ``__dict__``, and on CPython 3.11 a
+    materialized ``__dict__`` slows every attribute read of the scalar
+    ops."""
+
+    def __get__(self, ctx, owner=None):
+        if ctx is None:
+            return self
+        rows = ctx._build_tables()
+        ctx.rows = rows
+        return rows
+
+
 class FieldCtx:
     """GF(p^n) with a fixed monic irreducible modulus.
 
-    Fields with q <= TABLE_LIMIT answer every scalar op by one lookup in
-    ``rows``.  Larger fields are instances of a subclass that computes on
-    base-p digits and offers ``rows`` and ``tables()`` as computing views;
-    ``__new__`` picks the class once, so neither kind branches on it per
-    operation.
+    Fields with q <= LOG_LIMIT answer every scalar op through ``rows``,
+    built on first use from O(q) exp/log tables: by one lookup when
+    q <= TABLE_LIMIT, by a few when q <= LOG_LIMIT.  Larger fields are
+    instances of a subclass that computes on base-p digits and offers
+    ``rows`` and ``tables()`` as computing views; ``__new__`` picks the
+    class once, so neither kind branches on it per operation.
     """
 
     def __new__(cls, p: int, n: int = 1, modulus: Optional[Sequence[int]] = None):
-        if cls is FieldCtx and _check_field(p, n) > TABLE_LIMIT:
+        if cls is FieldCtx and _check_field(p, n) > LOG_LIMIT:
             cls = _DigitFieldCtx
         return super().__new__(cls)
 
@@ -282,7 +381,7 @@ class FieldCtx:
     def elements(self) -> range:
         return range(self.q)
 
-    # arithmetic: check the arguments, then one lookup
+    # arithmetic: check the arguments, then one lookup in the rows
 
     def add(self, a: int, b: int) -> int:
         self._check(a), self._check(b)
@@ -335,55 +434,65 @@ class FieldCtx:
 
     # lookup tables
 
-    @functools.cached_property
-    def rows(self) -> LookupRows:
-        """The lookup rows, built on first use.  Concurrent first uses may
-        each build them, but every build is complete and equal, and it is
-        published by the single assignment that caches it."""
-        return self._build_tables()
+    rows = _BuiltOnFirstUse()
 
     def _build_tables(self) -> LookupRows:
-        """Every table from O(q) field multiplications.
+        """Every table from O(q) work.
 
-        g is the primitive element of smallest encoding and exp[i] = g^i,
-        so for nonzero a, b: a*b = exp[log a + log b], 1/a = exp[-log a]
-        and a^(p^k) = exp[p^k log a], exponents mod q - 1.  Addition and
-        negation act digit by digit.
+        g is the primitive element of smallest encoding and exp[i] = g^i, so
+        for nonzero a, b: a*b = exp[log a + log b], 1/a = exp[-log a],
+        -a = a * g^((q-1)/2) for odd p and a^(p^k) = exp[p^k log a],
+        exponents mod q - 1.  Addition acts digit by digit (see _LogArith).
+        Fields up to TABLE_LIMIT then evaluate add and mul on all of
+        range(q) x range(q), so every op is one lookup.
         """
         p, n, q = self.p, self.n, self.q
         units = q - 1
+        # for n > 1 the elements below p lie in F_p and are never primitive
         g = next(
-            a for a in range(1, q)
+            a for a in range(p if n > 1 else 1, q)
             if all(self._pow_raw(a, units // f) != 1 for f in _prime_factors(units))
         )
-        exp_list = [1]
-        for _ in range(units - 1):
-            exp_list.append(self._mul_raw(exp_list[-1], g))
-        exp = np.array(exp_list, dtype=np.int64)
-        log = np.zeros(q, dtype=np.int64)
-        log[exp] = np.arange(units)
-        lg = log[1:]
-        mul = np.zeros((q, q), dtype=np.int64)
-        mul[1:, 1:] = exp[(lg[:, None] + lg[None, :]) % units]
-        inv = np.zeros(q, dtype=np.int64)
-        inv[1:] = exp[-lg % units]
-        frob = np.zeros((n, q), dtype=np.int64)
-        for k in range(n):
-            frob[k, 1:] = exp[lg * pow(p, k, units) % units]
-        idx = np.arange(q, dtype=np.int64)
         if n == 1:
-            add = (idx[:, None] + idx[None, :]) % p
-            neg = (-idx) % p
+            arith = _PrimeLogArith(p, units, p, (), None)
         else:
-            dig = np.zeros((q, n), dtype=np.int64)
-            k = idx.copy()
-            for i in range(n):
-                dig[:, i] = k % p
-                k //= p
-            weights = p ** np.arange(n, dtype=np.int64)
-            add = ((dig[:, None, :] + dig[None, :, :]) % p) @ weights
-            neg = ((-dig) % p) @ weights
+            m = p ** (n // 2)
+            half = _digit_add_table(p, n // 2)
+            if n % 2 == 0:
+                arith = _LogArith(p, units, m, (half,), m * half)
+            else:
+                arith = _LogArith(p, units, m, (half, m * half), m * m * _digit_add_table(p, 1))
+        powers = self._powers(g, arith.add)
+        exp = np.concatenate([powers, powers, np.zeros(2 * units + 1, dtype=np.int64)])
+        log = np.full(q, 2 * units, dtype=np.int64)
+        log[powers] = np.arange(units)
+        neg = exp[log + (units // 2 if p > 2 else 0)]
+        inv = exp[-log % units]
+        inv[0] = 0
+        arith.exp, arith.log, arith.neg = exp, log, neg
+        pks = [pow(p, k, units) for k in range(n)]
+        if q > TABLE_LIMIT:
+            scalar = arith.over_memoryviews()
+            return LookupRows(
+                add=_rows(scalar.add),
+                sub=_rows(scalar.sub),
+                mul=_rows(scalar.mul),
+                neg=scalar.neg,
+                inv=memoryview(inv),
+                frob=[_Computed(functools.partial(scalar.frobenius, pk)) for pk in pks],
+                arrays=FieldTables(
+                    add=_Pairwise(arith.add),
+                    sub=_Pairwise(arith.sub),
+                    mul=_Pairwise(arith.mul),
+                    neg=neg,
+                    inv=inv,
+                ),
+            )
+        idx = np.arange(q, dtype=np.int64)
+        add = arith.add(idx[:, None], idx)
+        mul = arith.mul(idx[:, None], idx)
         sub = add[:, neg]
+        frob = np.array([arith.frobenius(pk, idx) for pk in pks])
         # index an object array of range(q) so every row shares one int per element
         ints = np.array(range(q), dtype=object)
         return LookupRows(
@@ -395,6 +504,35 @@ class FieldCtx:
             frob=ints[frob].tolist(),
             arrays=FieldTables(add=add, sub=sub, mul=mul, neg=neg, inv=inv),
         )
+
+    def _powers(self, g: int, add) -> np.ndarray:
+        """g^0 .. g^(q-2) by doubling: the next block is the current one
+        times c = g^k.  Multiplying by c is F_p-linear, so x*c is the
+        digitwise sum of d_i * (x^i * c) over the digits d_i of x.  Summed
+        over the low and the high half of the digits, that is one lookup per
+        half in a table of at most p^((n+1)/2) entries."""
+        p, n, units = self.p, self.n, self.q - 1
+        half = (n + 1) // 2
+        weights = p ** np.arange(n, dtype=np.int64)
+        digit_values = np.arange(p, dtype=np.int64)[:, None]
+        exp = np.ones(1, dtype=np.int64)
+        c = g
+        while len(exp) < units:
+            x = exp[: units - len(exp)]
+            acc = None
+            for first in range(0, n, half):
+                size = p ** min(half, n - first)
+                part = np.arange(size, dtype=np.int64)
+                table = None
+                for i in range(first, min(first + half, n)):
+                    image = np.array(self.decode(self._mul_raw(p**i, c)), dtype=np.int64)
+                    term = ((digit_values * image % p) @ weights)[part // p ** (i - first) % p]
+                    table = term if table is None else add(table, term)
+                term = table[x // p**first % size]
+                acc = term if acc is None else add(acc, term)
+            exp = np.concatenate([exp, acc])
+            c = self._mul_raw(c, c)
+        return exp
 
     def _pow_raw(self, a: int, e: int) -> int:
         result = 1
@@ -437,6 +575,24 @@ class _Computed:
         return self.fn(x)
 
 
+def _rows(op) -> _Computed:
+    """Rows of a binary op: rows[a][b] is op(a, b)."""
+    return _Computed(lambda a: _Computed(functools.partial(op, a)))
+
+
+class _Pairwise:
+    """A binary table view: view[a, b] is fn(a, b) for a numpy-vectorized
+    fn, int64 in the broadcast shape as indexing a lookup table would be."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __getitem__(self, key):
+        return self.fn(*key)
+
+
 class _Broadcast:
     """A table view that computes its entries: view[a, b] (view[a] for a
     unary op) applies fn elementwise with numpy broadcasting and returns
@@ -453,14 +609,7 @@ class _Broadcast:
 
 
 class _DigitFieldCtx(FieldCtx):
-    """A field above TABLE_LIMIT: each op computes on base-p digits."""
-
-    def __init__(self, p: int, n: int = 1, modulus: Optional[Sequence[int]] = None):
-        super().__init__(p, n, modulus)
-        # Set here, not cached on first use: caching writes through the
-        # instance __dict__, and on CPython 3.11 a materialized __dict__
-        # slows every attribute read of the digit arithmetic.
-        self.rows = self._build_tables()
+    """A field above LOG_LIMIT: each op computes on base-p digits."""
 
     def add(self, a: int, b: int) -> int:
         self._check(a), self._check(b)
@@ -533,16 +682,13 @@ class _DigitFieldCtx(FieldCtx):
         """Views that call the checked ops, so the kernels written against
         the rows and tables of a tabulated field run unchanged here."""
 
-        def table(op):
-            return _Computed(lambda a: _Computed(functools.partial(op, a)))
-
         return LookupRows(
-            add=table(self.add),
-            sub=table(self.sub),
-            mul=table(self.mul),
+            add=_rows(self.add),
+            sub=_rows(self.sub),
+            mul=_rows(self.mul),
             neg=_Computed(self.neg),
             inv=_Computed(self.inv),
-            frob=table(lambda k, a: self.frobenius(a, k)),
+            frob=_rows(lambda k, a: self.frobenius(a, k)),
             arrays=FieldTables(
                 add=_Broadcast(self.add, 2),
                 sub=_Broadcast(self.sub, 2),

@@ -284,8 +284,13 @@ def exhaustive_scan(config: SearchConfig) -> list[Curve]:
     rows = _minimal_rows(ctx, e, units)
     found: dict = {}
     for combo in itertools.combinations_with_replacement(rows, params.N + 1):
+        forms = [Form.make(ctx, e, list(r)) for r in combo]
+        # membership first: almost every tuple is off X, and the on-X test
+        # is cheaper than the gcd that validate runs before it
         try:
-            curve = validate(params, e, [Form.make(ctx, e, list(r)) for r in combo])
+            if not expand_F(params, forms).is_zero:
+                continue
+            curve = validate(params, e, forms)
         except DomainError:
             continue
         key = projective_key(curve)

@@ -100,6 +100,6 @@ def corpus(params44, params55, params43, line44, line55):
 
 @pytest.fixture(scope="session")
 def gf729():
-    # above the table limit: every op computes on base-3 digits, and its
-    # rows and tables are views that compute their entries
+    # above TABLE_LIMIT, below LOG_LIMIT: no q x q table; scalar ops and the
+    # linalg views run a few lookups in O(q) exp/log tables, built in ~3 ms
     return FieldCtx(3, 6)

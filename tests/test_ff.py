@@ -1,17 +1,21 @@
 """Finite field layer: modulus selection, arithmetic fixtures, axiom sweeps."""
 
+import dataclasses
 import random
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fermatrc.errors import DivisionByZero, InvalidField
 from fermatrc.ff import (
+    LOG_LIMIT,
     TABLE_LIMIT,
     FieldCtx,
+    _DigitFieldCtx,
     _digits,
     _is_irreducible,
     _pmod,
@@ -174,13 +178,30 @@ def test_find_irreducible_matches_trial_division_choice():
         assert find_irreducible(p, n) == first, q
 
 
+def _arrays(T):
+    """The numpy arrays among the five tables of a FieldTables."""
+    values = (getattr(T, f.name) for f in dataclasses.fields(T))
+    return [t for t in values if isinstance(t, np.ndarray)]
+
+
+def _tables_peak_bytes(ctx):
+    """Peak bytes allocated while a fresh context builds its tables."""
+    tracemalloc.start()
+    try:
+        ctx.tables()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_large_extension_fields_construct_quickly():
     for p, n in ((3, 39), (2, 62)):
         t0 = time.perf_counter()
         ctx = FieldCtx(p, n)
         assert time.perf_counter() - t0 < 5.0
         T = ctx.tables()
-        assert not isinstance(T.mul, np.ndarray) and T.inv[0] == 0
+        # no q x q table above TABLE_LIMIT; above LOG_LIMIT no table at all
+        assert type(ctx) is _DigitFieldCtx and not _arrays(T) and T.inv[0] == 0
         a = ctx.q - 2
         assert ctx.mul(a, ctx.inv(a)) == 1
         assert T.mul[a, T.inv[a]] == 1
@@ -278,8 +299,11 @@ def test_ops_refuse_non_canonical_arguments(gf9):
 
 
 def test_untabulated_field_is_chosen_by_size(gf9, gf729):
-    assert isinstance(gf9.tables().mul, np.ndarray) and gf729.q > TABLE_LIMIT
-    assert not isinstance(gf729.tables().mul, np.ndarray)
+    assert gf9.tables().mul.shape == (9, 9) and gf729.q > TABLE_LIMIT
+    # no q x q table above TABLE_LIMIT: a 729 x 729 int64 table alone is 4.2 MB
+    assert _tables_peak_bytes(FieldCtx(3, 6)) < 16 * 8 * 729
+    assert type(gf729) is FieldCtx and 3**12 > LOG_LIMIT
+    assert type(FieldCtx(3, 12)) is _DigitFieldCtx
     rows = gf729.rows
     rng = random.Random(729)
     for _ in range(200):
@@ -301,15 +325,36 @@ def _view_inputs(rng, q):
     ]
 
 
-@pytest.mark.parametrize("p, n", [(3, 6), (2**61 - 1, 1)])
+# GF(729) and GF(3^7) lie above TABLE_LIMIT, GF(2^19) at LOG_LIMIT and
+# GF(2^61 - 1) above it; the digit arithmetic is the reference for all four
+@pytest.mark.parametrize("p, n", [(3, 6), (3, 7), (2, 19), (2**61 - 1, 1)])
 def test_broadcasting_views_match_scalar_ops(p, n):
     ctx = FieldCtx(p, n)
+    peak = _tables_peak_bytes(ctx)
     T = ctx.tables()
-    assert not isinstance(T.mul, np.ndarray)
+    # no q x q table above TABLE_LIMIT: O(q) arrays up to LOG_LIMIT, none above
+    if ctx.q <= LOG_LIMIT:
+        assert peak < 16 * 8 * ctx.q and T.neg.shape == T.inv.shape == (ctx.q,)
+    else:
+        assert not _arrays(T)
     assert T.inv[0] == 0 and T.inv[np.zeros(3, dtype=np.int64)].tolist() == [0, 0, 0]
-    binary = {"add": ctx.add, "sub": ctx.sub, "mul": ctx.mul}
-    unary = {"neg": ctx.neg, "inv": lambda a: ctx.inv(a) if a else 0}
+    ref = _DigitFieldCtx(p, n, ctx.modulus)
+    binary = {"add": ref.add, "sub": ref.sub, "mul": ref.mul}
+    unary = {"neg": ref.neg, "inv": lambda a: ref.inv(a) if a else 0}
     rng = random.Random(p)
+    rows = ctx.rows
+    for _ in range(100):
+        a, b, k = rng.randrange(ctx.q), rng.randrange(1, ctx.q), rng.randrange(n)
+        scalars = [
+            (ctx.add(a, b), rows.add[a][b], ref.add(a, b)),
+            (ctx.sub(a, b), rows.sub[a][b], ref.sub(a, b)),
+            (ctx.mul(a, b), rows.mul[a][b], ref.mul(a, b)),
+            (ctx.neg(a), rows.neg[a], ref.neg(a)),
+            (ctx.inv(b), rows.inv[b], ref.inv(b)),
+            (ctx.frobenius(a, k), rows.frob[k][a], ref.frobenius(a, k)),
+        ]
+        for got, row, want in scalars:
+            assert type(got) is int and type(row) is int and got == row == want
     inputs = _view_inputs(rng, ctx.q)
     for x in inputs:
         for name, op in unary.items():

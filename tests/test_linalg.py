@@ -1,6 +1,7 @@
 """Exact linear algebra over field contexts.  Every field takes one
-vectorized path; tabulated fields index numpy tables and larger fields
-computing views, and the two kinds of one field must agree exactly."""
+vectorized path: fields up to TABLE_LIMIT index numpy tables, fields up to
+LOG_LIMIT views over O(q) exp/log tables and larger fields views that
+compute on digits, and every kind of one field must agree exactly."""
 
 import random
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from fermatrc import linalg
-from fermatrc.ff import FieldCtx, _DigitFieldCtx
+from fermatrc.ff import TABLE_LIMIT, FieldCtx, _DigitFieldCtx
 from fermatrc.search import _combine
 
 
@@ -119,10 +120,11 @@ def _assert_same(a, b):
 
 
 def test_digit_and_table_fields_agree():
-    for p, n in ((3, 2), (2, 6), (5, 3)):
+    # GF(729) and GF(3^7) are in the exp/log tier, the others fully tabulated
+    for p, n in ((3, 2), (2, 6), (5, 3), (3, 6), (3, 7)):
         tab, dig = FieldCtx(p, n), _DigitFieldCtx(p, n)
-        assert tab == dig and tab.modulus == dig.modulus
-        assert isinstance(tab.tables().mul, np.ndarray)
+        assert tab == dig and tab.modulus == dig.modulus and type(tab) is FieldCtx
+        assert isinstance(tab.tables().mul, np.ndarray) == (tab.q <= TABLE_LIMIT)
         assert not isinstance(dig.tables().mul, np.ndarray)
         rng = random.Random(tab.q)
         for M in _agreement_matrices(rng, tab):
@@ -156,7 +158,7 @@ def test_digit_and_table_fields_agree():
         inconsistent = ([[1, 1], [1, 1]], [0, 1])
         assert linalg.solve(tab, *inconsistent) is None
         assert linalg.solve(dig, *inconsistent) is None
-    # GF(625) has only the digit kind: check its kernels directly
+    # GF(625), an exp/log field, against matrix-vector products
     big = FieldCtx(5, 4)
     assert not isinstance(big.tables().mul, np.ndarray)
     rng = random.Random(17)

@@ -3,8 +3,9 @@ sampling, the gated exhaustive scan, and the survey driver."""
 
 import pytest
 
+from fermatrc import search as search_module
 from fermatrc.errors import DegreeNotDivisible, NoRoots, SpaceTooLarge
-from fermatrc.fermat import act_automorphism, is_rnc, validate
+from fermatrc.fermat import act_automorphism, expand_F, is_rnc, validate
 from fermatrc.forms import Form
 from fermatrc.search import (
     SearchConfig,
@@ -119,6 +120,19 @@ def test_exhaustive_scan_small_instance(params43):
     curve = found[0]
     assert [f.to_json() for f in curve.forms] == [[1, 0], [0, 1], [1, 1], [1, 2]]
     assert is_rnc(curve) == (1, True)
+
+
+def test_exhaustive_scan_validates_only_tuples_on_x(params43, monkeypatch):
+    validated = []
+
+    def recording_validate(params, e, forms, *args, **kwargs):
+        validated.append(list(forms))
+        return validate(params, e, forms, *args, **kwargs)
+
+    monkeypatch.setattr(search_module, "validate", recording_validate)
+    found = exhaustive_scan(SearchConfig(params43, 1, strategy="exhaustive"))
+    assert [f.to_json() for f in found[0].forms] == [[1, 0], [0, 1], [1, 1], [1, 2]]
+    assert validated and all(expand_F(params43, forms).is_zero for forms in validated)
 
 
 def test_exhaustive_scan_gate(params44):
