@@ -51,7 +51,9 @@ class WindowModel:
     n0_bound: int
 
     def contains(self, e: int) -> bool:
-        return any(lo < e <= hi for lo, hi in self.windows)
+        # both ends grow with m, so only the last window starting below e can hold it
+        m = (e - 1) // self.N
+        return 0 <= m < len(self.windows) and e <= self.windows[m][1]
 
     def allowed_degrees(self, max_e: int) -> list[int]:
         return [e for e in range(1, max_e + 1) if not self.contains(e)]

@@ -2,15 +2,18 @@
 
 Every command reads JSON (curve files carry their own field description)
 and writes a single JSON document to standard output; survey writes one
-JSON object per line.  Exit codes: 0 success, 1 domain error, 2 internal
-certificate failure, 3 usage error.  Error payloads carry a "kind" field
-naming the error class.
+JSON object per line, flushed as each row is classified.  Exit codes: 0
+success, 1 domain error, 2 internal certificate failure, 3 usage error,
+141 (128 + SIGPIPE) when the reader closes standard output early, as
+`head` does.  Error payloads carry a "kind" field naming the error class;
+an error partway through a survey follows the rows already written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -23,10 +26,18 @@ from .classify import (
     prime_power,
     tangent_report,
 )
-from .errors import FermatRCError, UsageError
+from .errors import FermatRCError, SpaceTooLarge, UsageError
 from .fermat import Curve, FermatParams
 
 SCHEMA = "fermat-rc/1"
+
+# exit code when standard output closes early: what a shell reports for a
+# process killed by SIGPIPE
+EXIT_BROKEN_PIPE = 141
+
+# windows refuses a --pr or a --max above this: the report lists p^r - 1
+# windows and checks every degree up to --max
+WINDOWS_LIMIT = 100_000
 
 _BUNDLES = {
     "tx": ("TX", splitbundle.splitting_tx),
@@ -194,10 +205,16 @@ def _cmd_classify(args):
 
 
 def _cmd_windows(args):
+    if args.pr > WINDOWS_LIMIT:
+        raise SpaceTooLarge(f"--pr {args.pr} exceeds the windows gate {WINDOWS_LIMIT}")
     model = forbidden_windows(args.pr)
     top = args.max if args.max is not None else model.n0_bound + 3
     if top < 1:
         raise UsageError("--max must be >= 1")
+    if top > WINDOWS_LIMIT:
+        raise SpaceTooLarge(
+            f"degrees up to {top} exceed the windows gate {WINDOWS_LIMIT}; pass a smaller --max"
+        )
     return {
         "schema": SCHEMA,
         "pr": model.pr,
@@ -291,7 +308,7 @@ def _cmd_survey(args):
     if args.budget < 1:
         raise UsageError("--budget must be >= 1")
     rows = search.survey(params, range(1, args.max + 1), args.budget, _seed(args))
-    return [{"schema": SCHEMA, **row.to_json()} for row in rows]
+    return ({"schema": SCHEMA, **row.to_json()} for row in rows)
 
 
 _COMMANDS = {
@@ -308,7 +325,7 @@ _COMMANDS = {
 
 
 def _emit(obj, pretty: bool) -> None:
-    print(json.dumps(obj, indent=2 if pretty else None, sort_keys=False))
+    print(json.dumps(obj, indent=2 if pretty else None, sort_keys=False), flush=True)
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
@@ -325,13 +342,19 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             _emit(result, args.pretty)
         return 0
     except FermatRCError as exc:
-        _emit({"schema": SCHEMA, "kind": exc.kind, "message": str(exc)},
+        _emit({"schema": SCHEMA, "kind": exc.kind, "message": str(exc), **exc.where},
               pretty=False)
         return exc.exit_code
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    return run(argv)
+    try:
+        return run(argv)
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so that the
+        # interpreter's final flush of what is still buffered cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

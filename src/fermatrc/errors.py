@@ -3,7 +3,9 @@
 Every error carries a stable ``kind`` string (the class name) that the CLI
 emits in its JSON error payloads, and an ``exit_code`` bucketing it into one
 of the documented outcome classes: 1 for domain errors, 2 for internal
-certificate failures, 3 for usage errors.
+certificate failures, 3 for usage errors.  ``where`` holds fields naming
+where the error happened (a survey row's ``e`` and ``source``); the CLI
+adds them to the payload.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 class FermatRCError(Exception):
     exit_code = 1
+    where: dict = {}  # rebound per instance, never mutated
 
     @property
     def kind(self) -> str:

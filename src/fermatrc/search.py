@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .classify import ClassificationReport, classify
 from .errors import (
     DegreeNotDivisible,
     DomainError,
+    FermatRCError,
     NoRoots,
     SpaceTooLarge,
 )
@@ -42,6 +43,10 @@ STRATEGIES = ("lines", "covers", "alternating", "exhaustive")
 
 # complete-scan gate, measured in normalized coefficient tuples
 EXHAUSTIVE_LIMIT = 1 << 32
+
+# line-enumeration gate, measured in candidate lines: ordered coordinate
+# quadruples times pairs of roots of -1 (X44: 1,920; X55: 9,000)
+LINES_LIMIT = 1 << 16
 
 # survey only runs the complete scan when it is this cheap
 _SURVEY_SCAN_CAP = 60_000
@@ -87,15 +92,19 @@ def _coeff_rows(curve: Curve) -> list[tuple[int, ...]]:
     return [tuple(f.coefficient(j) for j in range(width)) for f in curve.forms]
 
 
-def canonical_key(curve: Curve) -> tuple[tuple[int, ...], ...]:
+def canonical_key(
+    curve: Curve, units: Optional[Sequence[int]] = None
+) -> tuple[tuple[int, ...], ...]:
     """Invariant of the orbit under coordinate permutations and d-th root
     scalings: minimize each coordinate row over the scalings, then sort.
 
     Scalings act on rows independently and permutations reorder them, so
     this is exactly the lexicographically smallest encoding in the orbit.
+    Callers that key many curves pass units = roots_of_unity(ctx, d).
     """
     ctx = curve.ctx
-    units = roots_of_unity(ctx, curve.params.d)
+    if units is None:
+        units = roots_of_unity(ctx, curve.params.d)
     return tuple(sorted(_min_scaled(ctx, row, units) for row in _coeff_rows(curve)))
 
 
@@ -105,14 +114,17 @@ def canonical_representative(curve: Curve) -> Curve:
     return validate(curve.params, curve.e, forms, on_hypersurface=curve.on_x)
 
 
-def projective_key(curve: Curve) -> tuple[tuple[int, ...], ...]:
+def projective_key(
+    curve: Curve, units: Optional[Sequence[int]] = None
+) -> tuple[tuple[int, ...], ...]:
     """canonical_key refined by global rescaling of the whole tuple.
 
     A global unit multiplies the defining expansion by its d-th power, so
     the rescaled tuple stays on X and defines the same projective map.
     """
     ctx = curve.ctx
-    units = roots_of_unity(ctx, curve.params.d)
+    if units is None:
+        units = roots_of_unity(ctx, curve.params.d)
     base = _coeff_rows(curve)
     mul = ctx.rows.mul
     best = None
@@ -129,18 +141,23 @@ def enumerate_standard_lines(params: FermatParams) -> list[Curve]:
     """One representative per automorphism orbit of the two-pair lines.
 
     Runs over all ordered choices of four distinct coordinates and all
-    d-th roots of -1 for the pair ratios; orbit duplicates collapse.
+    d-th roots of -1 for the pair ratios; orbit duplicates collapse.  More
+    than LINES_LIMIT candidates are refused, not attempted.
     """
     roots = roots_of_minus_one(params.ctx, params.d)
     if not roots:
         raise NoRoots(f"the field has no degree-{params.d} roots of -1")
+    total = math.perm(params.N + 1, 4) * len(roots) ** 2
+    if total > LINES_LIMIT:
+        raise SpaceTooLarge(f"{total} candidate lines exceed the enumeration gate")
+    units = roots_of_unity(params.ctx, params.d)
     seen: dict = {}
     for quad in itertools.permutations(range(params.N + 1), 4):
         pattern = ((quad[0], quad[1]), (quad[2], quad[3]))
         for alpha in roots:
             for beta in roots:
                 line = make_line(params, alpha, beta, pattern)
-                key = canonical_key(line)
+                key = canonical_key(line, units)
                 if key not in seen:
                     seen[key] = canonical_representative(line)
     return [seen[k] for k in sorted(seen)]
@@ -242,11 +259,10 @@ def random_cover_family(config: SearchConfig, base: Curve, count: int) -> list[C
     return out
 
 
-def _scan_budget(params: FermatParams, e: int) -> int:
+def _scan_budget(params: FermatParams, e: int, units: Sequence[int]) -> int:
     """Number of tuples a complete scan would enumerate."""
-    units = len(roots_of_unity(params.ctx, params.d))
     # the scaling action is free on nonzero rows, so the count is exact
-    m_count = (params.ctx.q ** (e + 1) - 1) // units + 1
+    m_count = (params.ctx.q ** (e + 1) - 1) // len(units) + 1
     return math.comb(m_count + params.N, params.N + 1)
 
 
@@ -277,10 +293,10 @@ def exhaustive_scan(config: SearchConfig) -> list[Curve]:
     params = config.params
     ctx = params.ctx
     e = config.e
-    total = _scan_budget(params, e)
+    units = roots_of_unity(ctx, params.d)
+    total = _scan_budget(params, e, units)
     if total > EXHAUSTIVE_LIMIT:
         raise SpaceTooLarge(f"{total} normalized tuples exceed the scan gate")
-    units = roots_of_unity(ctx, params.d)
     rows = _minimal_rows(ctx, e, units)
     found: dict = {}
     for combo in itertools.combinations_with_replacement(rows, params.N + 1):
@@ -293,7 +309,7 @@ def exhaustive_scan(config: SearchConfig) -> list[Curve]:
             curve = validate(params, e, forms)
         except DomainError:
             continue
-        key = projective_key(curve)
+        key = projective_key(curve, units)
         if key not in found:
             found[key] = curve
     return [found[k] for k in sorted(found)]
@@ -320,35 +336,40 @@ def survey(
     degrees: Sequence[int],
     budget: int,
     seed: int = 0,
-) -> list[SurveyRow]:
+) -> Iterator[SurveyRow]:
     """Classify curves found by every strategy, at most budget rows total.
 
+    The arguments are checked at call time; the returned generator then
+    yields each row as soon as it is classified (list() collects them).
     The budget splits evenly across the requested degrees.  Per degree the
     order is: orbit-distinct lines, one alternating attempt, the complete
     scan when it is small enough, then random covers of the first line
     until the quota is filled.  A very-free verdict inside a forbidden
-    window raises WindowViolation out of classify, failing the survey.
+    window raises WindowViolation out of classify, ending the survey; the
+    error names the e and source of the row that failed.
     """
     degs = sorted(set(int(e) for e in degrees))
     if not degs or degs[0] < 1:
         raise ValueError("degrees must be a nonempty set of positive ints")
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    try:
-        lines = enumerate_standard_lines(params)
-    except NoRoots:
-        lines = []
-    per = max(1, budget // len(degs))
-    remaining = budget
-    out: list[SurveyRow] = []
-    for idx, e in enumerate(degs):
-        if remaining <= 0:
-            break
-        quota = min(per, remaining)
-        rows = _survey_degree(params, e, quota, derive_seed(seed, idx), lines)
-        out.extend(rows)
-        remaining -= len(rows)
-    return out
+
+    def rows() -> Iterator[SurveyRow]:
+        try:
+            lines = enumerate_standard_lines(params)
+        except NoRoots:
+            lines = []
+        per = max(1, budget // len(degs))
+        remaining = budget
+        for idx, e in enumerate(degs):
+            if remaining <= 0:
+                break
+            quota = min(per, remaining)
+            for row in _survey_degree(params, e, quota, derive_seed(seed, idx), lines):
+                remaining -= 1
+                yield row
+
+    return rows()
 
 
 def _survey_degree(
@@ -357,38 +378,42 @@ def _survey_degree(
     quota: int,
     seed: int,
     lines: Sequence[Curve],
-) -> list[SurveyRow]:
-    rows: list[SurveyRow] = []
+) -> Iterator[SurveyRow]:
+    units = roots_of_unity(params.ctx, params.d)
+    count = 0
     seen_keys = set()
 
-    def push(curve: Curve, source: str) -> None:
-        if len(rows) >= quota:
-            return
-        key = projective_key(curve)
-        if source != "covers" and key in seen_keys:
-            return
-        seen_keys.add(key)
-        rows.append(SurveyRow(e, source, curve, classify(curve)))
+    def classified(curves, source: str) -> Iterator[SurveyRow]:
+        nonlocal count
+        for curve in curves:
+            if count >= quota:
+                return
+            key = projective_key(curve, units)
+            if source != "covers" and key in seen_keys:
+                continue
+            seen_keys.add(key)
+            try:
+                report = classify(curve)
+            except FermatRCError as exc:
+                exc.where = {"e": e, "source": source}
+                raise
+            count += 1
+            yield SurveyRow(e, source, curve, report)
 
-    for line in lines:
-        if line.e == e:
-            push(line, "lines")
-    if len(rows) < quota:
+    yield from classified([line for line in lines if line.e == e], "lines")
+    if count < quota:
         hit = alternating_solve(
             SearchConfig(params, e, derive_seed(seed, 1), max_iter=200)
         )
-        if hit is not None:
-            push(hit, "alternating")
-    if len(rows) < quota and _scan_budget(params, e) <= _SURVEY_SCAN_CAP:
-        for curve in exhaustive_scan(SearchConfig(params, e, strategy="exhaustive")):
-            push(curve, "exhaustive")
+        yield from classified([] if hit is None else [hit], "alternating")
+    if count < quota and _scan_budget(params, e, units) <= _SURVEY_SCAN_CAP:
+        scan = exhaustive_scan(SearchConfig(params, e, strategy="exhaustive"))
+        yield from classified(scan, "exhaustive")
     bases = [b for b in lines if e % b.e == 0]
-    if bases and len(rows) < quota:
+    if bases and count < quota:
         covers = random_cover_family(
             SearchConfig(params, e, derive_seed(seed, 2)),
             bases[0],
-            quota - len(rows),
+            quota - count,
         )
-        for curve in covers:
-            push(curve, "covers")
-    return rows
+        yield from classified(covers, "covers")

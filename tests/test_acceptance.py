@@ -128,7 +128,7 @@ def test_criterion_08_soundness_sweep(params44, params55):
     )
     for params, degrees, budget in sweeps:
         window = forbidden_windows(params.pr)
-        rows = survey(params, degrees, budget, seed=0)
+        rows = list(survey(params, degrees, budget, seed=0))
         assert rows
         per_degree = budget // len(list(degrees))
         assert per_degree >= 500

@@ -44,6 +44,13 @@ def test_windows_pr3():
     assert wm.allowed_degrees(8) == [4, 7, 8]
 
 
+@pytest.mark.parametrize("pr", [3, 4, 5, 7, 8, 9, 16, 27])
+def test_window_lookup_matches_the_definition(pr):
+    wm = forbidden_windows(pr)
+    for e in range(-2, wm.n0_bound + 2 * wm.N):
+        assert wm.contains(e) == any(lo < e <= hi for lo, hi in wm.windows), e
+
+
 def test_windows_reject_bad_pr():
     with pytest.raises(UsageError):
         forbidden_windows(2)

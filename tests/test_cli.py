@@ -1,9 +1,10 @@
 """End to end checks of the JSON command line front end.
 
-Most cases drive cli.main in process and parse captured stdout; one test
-goes through a real subprocess to cover the module entry point.
+Most cases drive cli.main in process and parse captured stdout; two tests
+go through a real subprocess, for the module entry point and a closed pipe.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -14,8 +15,9 @@ from pathlib import Path
 import pytest
 
 import fermatrc
-from fermatrc import fermat
-from fermatrc.cli import main
+from fermatrc import fermat, search
+from fermatrc.cli import EXIT_BROKEN_PIPE, WINDOWS_LIMIT, main
+from fermatrc.errors import WindowViolation
 from fermatrc.fermat import Curve
 
 SCHEMA = "fermat-rc/1"
@@ -232,6 +234,17 @@ def test_windows_flag_errors(capsys):
     assert code == 3 and payload["kind"] == "UsageError"
 
 
+def test_windows_gate_refuses_quickly(capsys):
+    # the default top p^r(p^r - 1) + 3 stays inside the gate up to p^r = 313
+    start = time.monotonic()
+    for argv in (["--pr", "1000003"], ["--pr", "997"], ["--pr", "4", "--max", "10000000"]):
+        code, payload = _run_json(capsys, "windows", *argv)
+        assert code == 1 and payload["kind"] == "SpaceTooLarge", argv
+    assert time.monotonic() - start < 1
+    code, payload = _run_json(capsys, "windows", "--pr", "997", "--max", str(WINDOWS_LIMIT))
+    assert code == 0 and len(payload["windows"]) == 996
+
+
 def test_tangent_line(capsys, curve_file):
     code, payload = _run_json(capsys, "tangent", "--curve", curve_file)
     assert code == 0
@@ -321,6 +334,13 @@ def test_search_lines_cli(capsys):
     code, payload = _run_json(capsys, "search", "--strategy", "lines")
     assert code == 3
 
+    start = time.monotonic()
+    code, payload = _run_json(
+        capsys, "search", "--strategy", "lines", "--pr", "3", "--N", "40"
+    )
+    assert code == 1 and payload["kind"] == "SpaceTooLarge"
+    assert time.monotonic() - start < 1
+
 
 def test_search_alternating_cli(capsys):
     code, payload = _run_json(
@@ -397,6 +417,42 @@ def test_survey_stream(capsys):
     assert code == 3
 
 
+def test_survey_output_is_unchanged(capsys):
+    # digest recorded before the survey streamed its rows
+    code, out = _run(capsys, "survey", "--pr", "3", "--max", "2", "--budget", "4",
+                     "--seed", "2")
+    assert code == 0
+    assert [json.loads(line)["source"] for line in out.splitlines()] == [
+        "lines", "alternating", "alternating", "covers",
+    ]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "8833e367d29521331e17f450b42db9dad16cfc9ef05913157d025d7df8567812"
+    )
+
+
+def test_survey_keeps_rows_written_before_an_error(capsys, monkeypatch):
+    classify, calls = search.classify, []
+
+    def failing_second(curve):
+        calls.append(curve)
+        if len(calls) == 2:
+            raise WindowViolation("injected")
+        return classify(curve)
+
+    monkeypatch.setattr(search, "classify", failing_second)
+    code, out = _run(capsys, "survey", "--pr", "3", "--max", "1", "--budget", "2")
+    assert code == 2
+    row, error = [json.loads(line) for line in out.splitlines()]
+    assert row["source"] == "lines" and "report" in row
+    assert error == {
+        "schema": SCHEMA,
+        "kind": "WindowViolation",
+        "message": "injected",
+        "e": 1,
+        "source": "alternating",
+    }
+
+
 def test_module_entry_point():
     # the child imports the same package as this process, installed or not
     src = str(Path(fermatrc.__file__).resolve().parents[1])
@@ -415,3 +471,22 @@ def test_module_entry_point():
     )
     assert missing.returncode == 3
     assert json.loads(missing.stdout)["kind"] == "UsageError"
+
+
+def test_closed_pipe_exits_quietly():
+    src = str(Path(fermatrc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)  # each row must reach the pipe by its own flush
+    # the third row comes from the e = 1 scan, long after the reader is gone
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fermatrc.cli", "survey", "--pr", "3", "--max", "1",
+         "--budget", "3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = json.loads(proc.stdout.readline())
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == EXIT_BROKEN_PIPE
+    assert first["source"] == "lines"
+    assert err == b""

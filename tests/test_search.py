@@ -5,7 +5,7 @@ import pytest
 
 from fermatrc import search as search_module
 from fermatrc.errors import DegreeNotDivisible, NoRoots, SpaceTooLarge
-from fermatrc.fermat import act_automorphism, expand_F, is_rnc, validate
+from fermatrc.fermat import FermatParams, act_automorphism, expand_F, is_rnc, validate
 from fermatrc.forms import Form
 from fermatrc.search import (
     SearchConfig,
@@ -141,21 +141,52 @@ def test_exhaustive_scan_gate(params44):
 
 
 def test_survey_rows_and_determinism(params44):
-    rows = survey(params44, [1, 2], budget=20, seed=9)
+    rows = list(survey(params44, [1, 2], budget=20, seed=9))
     assert 0 < len(rows) <= 20
     assert {row.e for row in rows} == {1, 2}
     for row in rows:
         assert row.source in {"lines", "alternating", "exhaustive", "covers"}
         assert row.curve.on_x
         assert row.report.chi == row.curve.e * (params44.N + 1 - params44.d) + params44.N - 1
-    again = survey(params44, [1, 2], budget=20, seed=9)
+    again = list(survey(params44, [1, 2], budget=20, seed=9))
     assert [r.to_json() for r in rows] == [r.to_json() for r in again]
 
 
 def test_survey_budget_is_a_cap(params44):
-    rows = survey(params44, [2], budget=3, seed=0)
+    rows = list(survey(params44, [2], budget=3, seed=0))
     assert len(rows) <= 3
     with pytest.raises(ValueError):
         survey(params44, [], budget=5)
     with pytest.raises(ValueError):
         survey(params44, [1], budget=0)
+
+
+def _record_calls(monkeypatch, calls, *names):
+    for name in names:
+        def recording(*args, _name=name, _fn=getattr(search_module, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(search_module, name, recording)
+
+
+def test_survey_streams_first_row_before_any_search(params44, monkeypatch):
+    calls = []
+    _record_calls(monkeypatch, calls, "enumerate_standard_lines", "alternating_solve",
+                  "exhaustive_scan")
+    rows = survey(params44, [1, 2], 20, seed=9)
+    assert calls == []  # nothing runs until the first row is asked for
+    first = next(rows)
+    assert (first.e, first.source) == (1, "lines")
+    assert calls == ["enumerate_standard_lines"]
+    assert len(list(rows)) == 19
+    assert "alternating_solve" in calls and "exhaustive_scan" in calls
+
+
+def test_line_enumeration_gate(monkeypatch):
+    params = FermatParams.make(3, 1, 40)
+    calls = []
+    _record_calls(monkeypatch, calls, "make_line")
+    with pytest.raises(SpaceTooLarge):
+        enumerate_standard_lines(params)
+    assert calls == []  # refused before the first candidate
