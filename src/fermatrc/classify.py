@@ -15,30 +15,28 @@ from typing import Optional
 
 from .errors import UsageError, WindowViolation
 from .fermat import Curve, FermatParams, expand_F
+from .ff import is_prime
 from .forms import Form
 from .rng import SplitMix64
 from .splitbundle import SplittingType, frobenius_pullback, tx_pipeline
 
 
 def prime_power(m: int) -> tuple[int, int]:
-    """Factor m as p^r with p prime, else raise UsageError."""
+    """Factor m as p^r with p prime, else raise UsageError.
+
+    The form is unique, so it takes the integer r-th root of m for each
+    r < log2(m), by Newton's method from above, and tests it with
+    Miller-Rabin: no trial division, which hangs on a large prime.
+    """
     if m < 2:
         raise UsageError(f"{m} is not a prime power")
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            break
-        p += 1
-    else:
-        return m, 1
-    r = 0
-    q = m
-    while q % p == 0:
-        q //= p
-        r += 1
-    if q != 1:
-        raise UsageError(f"{m} is not a prime power")
-    return p, r
+    for r in range(1, m.bit_length()):
+        p = 1 << -(-m.bit_length() // r)
+        while (q := ((r - 1) * p + m // p ** (r - 1)) // r) < p:
+            p = q
+        if p**r == m and is_prime(p):
+            return p, r
+    raise UsageError(f"{m} is not a prime power")
 
 
 @dataclass(frozen=True)

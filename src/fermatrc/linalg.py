@@ -107,6 +107,11 @@ class Echelon:
     Rows are normalized (leading 1 at the pivot) and kept ordered by pivot
     column.  ``add`` reduces a vector against the current rows; dependent
     vectors are absorbed and independent ones inserted.
+
+    Nothing in the package calls it since the generator scan reads its
+    mu-basis off one rref (splitbundle.GradedEchelon).  It stays because
+    perfbench/tracer.py looks up ``Echelon.add`` by name and fails without
+    it; delete it once the tracer reports a missing name as absent.
     """
 
     def __init__(self, ctx: FieldCtx, width: int):

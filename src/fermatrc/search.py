@@ -348,7 +348,9 @@ def survey(
     window raises WindowViolation out of classify, ending the survey; the
     error names the e and source of the row that failed.
     """
-    degs = sorted(set(int(e) for e in degrees))
+    # a range is sorted and distinct already, and lists none of its degrees
+    ranged = isinstance(degrees, range) and degrees.step > 0
+    degs = degrees if ranged else sorted(set(int(e) for e in degrees))
     if not degs or degs[0] < 1:
         raise ValueError("degrees must be a nonempty set of positive ints")
     if budget < 1:

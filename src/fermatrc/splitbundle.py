@@ -9,51 +9,50 @@ When the nonzero entries are coprime this is a vector bundle of rank
 (#entries - 1) and degree -sum(delta_i).  Zero entries are first class (any
 declared twist, including negative) and contribute free summands O(-delta_i).
 
-Twisted section spaces H^0(K(m)) are exact kernels of the multiplication
-matrices
+H^0(K(m)) is the kernel of Mult_m : sum_i H^0(O(m - delta_i)) -> H^0(O(m)),
+(h_i) -> sum g_i h_i.  At s = 1 the column (i, w) of Mult_m is t^w * g_i for
+every m >= w + delta_i, so with columns sorted by that twist Mult_m is a
+prefix of Mult_top, and one rref (GradedEchelon) serves every m <= top:
+h^0(K(m)) counts the non-pivot columns of twist <= m, plus
+max(m - delta_i + 1, 0) for each zero entry, which gets no columns.  The
+multiplicity of O(-m) is the second difference at m.  As t maps (i, w) to
+(i, w + 1) in order, the non-pivot columns of an entry form a tail, and the
+kernel vectors of the first ones are a mu-basis: their t-multiples lead at
+exactly the non-pivot columns (Hong, Hough and Kogan, J. Symbolic Comput.
+80, 2017, here for entries of any degree).  Both scans are certified: no
+sections at the floor, first differences that never decrease, and exactly
+rank summands of total degree -sum(delta_i).  The echelon doubles in
+height until that holds; past the a-priori bound CertificateFailure.
 
-    Mult_m : sum_i H^0(O(m - delta_i)) -> H^0(O(m)),   (h_i) -> sum g_i h_i,
+For a curve f on a Fermat hypersurface of degree d = p^r + 1 this yields
+the pullback tangent bundle in three stages:
 
-and the splitting type falls out of the first differences of the Hilbert
-function m -> h^0(K(m)): the multiplicity of O(-m) is the second difference
-at m.  Every scan is certified, terminating only once exactly `rank`
-summands with total degree -sum(delta_i) have appeared; a scan that reaches
-the a-priori twist bound without its certificate raises CertificateFailure.
-
-The same machinery produces minimal generators of the graded section module
-(kernel vectors outside s*H^0(K(m-1)) + t*H^0(K(m-1))) and coordinates of a
-section in the generator basis.  For a curve f on a Fermat hypersurface of
-degree d = p^r + 1 this yields the pullback tangent bundle in three stages:
-
-  1. the only generator scan runs on the small presentation (f_i, e), whose
-     kernel is f*Omega^1 of the ambient space (twisted by -e).  The row
-     (f_i^(p^r), e*p^r) cutting out F is its pullback under absolute
-     Frobenius on P^1, which is flat and pulls O(a) back to O(p^r*a), so
-     the Frobenius powers of those generators are minimal generators of the
-     big presentation, of p^r times the degree.  The pullback f*F therefore
-     splits as p^r*splitting(f*Omega) + d*e (frobenius_pullback), with
-     summands b_j = d*e - m_j for lifted generator degrees m_j;
+  1. generators of (f_i, e), whose kernel is f*Omega^1 of the ambient space
+     (twisted by -e).  The row (f_i^(p^r), e*p^r) cutting out F is its
+     pullback under absolute Frobenius on P^1, which is flat and pulls O(a)
+     back to O(p^r*a), so the Frobenius powers of those generators are
+     minimal generators of that presentation: f*F splits as
+     p^r*splitting(f*Omega) + d*e (frobenius_pullback), with summands
+     b_j = d*e - m_j for lifted generator degrees m_j;
   2. the Euler section (f_0, ..., f_N) lies in that kernel exactly when the
      curve sits on the hypersurface; its coordinates c_j have degree b_j;
   3. f*T_X is the cokernel of (c_j): O -> sum O(b_j), so its dual is again
      a kernel presentation, and negating plus reversing that splitting gives
      the tangent splitting.
 
-Every pipeline run is certified: the Omega generator scan carries the
-rank/degree certificate, coordinates_in_basis raises when the Euler section
-is not in the span of the lifted generators, stage 3 is a certified scan
-with a rank/degree check on the tangent splitting, and the Frobenius
-presentation, built once, is an independent cross-check.  Its section
-counts h^0(K_F(d*e + m)) at m = -1, 0, 1 share no matrices with the
-pipeline, and must equal h^0(f*F(m)) and h^0(f*T_X(m)) + m + 1, since
-H^1(O(m)) = 0 for m >= -1.  Forbidden degree windows are checked on top of
-this by the classifier.
+coordinates_in_basis raises when the Euler section is not in the span, f*T_X
+must have rank N - 1 and degree e(N + 1 - d), and the Frobenius presentation
+is an independent cross-check: its counts h^0(K_F(d*e + m)) at m = -1, 0, 1
+come from mult_matrix and h0, share no matrices with the pipeline, and must
+equal h^0(f*F(m)) and h^0(f*T_X(m)) + m + 1 (H^1(O(m)) = 0 for m >= -1).
+The classifier checks the forbidden degree windows on top.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
-from typing import Optional, Sequence
+import bisect
+from dataclasses import dataclass
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -141,15 +140,13 @@ class Generator:
 @dataclass(frozen=True)
 class KernelPresentation:
     entries: tuple[Entry, ...]
-    check: InitVar[bool] = True
 
-    def __post_init__(self, check: bool):
-        if check:
-            _validate_entries(self.entries)
+    def __post_init__(self):
+        _validate_entries(self.entries)
 
     @staticmethod
-    def make(entries: Sequence[Entry], check: bool = True) -> "KernelPresentation":
-        return KernelPresentation(tuple((g, int(d)) for g, d in entries), check)
+    def make(entries: Sequence[Entry]) -> "KernelPresentation":
+        return KernelPresentation(tuple((g, int(d)) for g, d in entries))
 
     @property
     def ctx(self) -> FieldCtx:
@@ -221,113 +218,123 @@ def _scan_bounds(kp: KernelPresentation) -> tuple[int, int]:
     return m_lo, m_hi
 
 
+class GradedEchelon:
+    """One rref of Mult_top, columns sorted by (twist, entry, t-shift): the
+    Hilbert function and the minimal generators up to twist top."""
+
+    def __init__(self, kp: KernelPresentation, top: int):
+        self.kp, self.top = kp, top
+        self.columns = sorted((w + d, i, w) for i, (g, d) in enumerate(kp.entries)
+                              if not g.is_zero for w in range(top - d + 1))
+        M = np.zeros((top + 1, len(self.columns)), dtype=np.int64)
+        for c, (_, i, w) in enumerate(self.columns):
+            g = kp.entries[i][0]
+            M[w : w + g.deg + 1, c] = g.coeffs
+        self.reduced, self.pivots = linalg.rref(kp.ctx, M)
+        pivot_set = set(self.pivots)
+        self.free = [c for c in range(len(self.columns)) if c not in pivot_set]
+        free_twists = [self.columns[c][0] for c in self.free]
+        zeros = [d for g, d in kp.entries if g.is_zero]
+        self._lo = min(d for _, d in kp.entries)  # no sections below
+        self._hilbert = [
+            sum(max(m - d + 1, 0) for d in zeros) + bisect.bisect_right(free_twists, m)
+            for m in range(self._lo, top + 1)
+        ]
+
+    def h0(self, m: int) -> int:
+        """dim H^0(K(m)), exact for every m <= top."""
+        if m > self.top:
+            raise TwistOutOfRange(f"twist {m} is above the echelon's top {self.top}")
+        return self._hilbert[m - self._lo] if m >= self._lo else 0
+
+    def generators(self) -> list[Generator]:
+        """The generators of twist <= top, ascending in (twist, entry): the
+        kernel vector of each entry's first non-pivot column, 1 there, and
+        the unit vector of each zero entry (which has no columns) at its
+        own twist."""
+        ctx, entries = self.kp.ctx, self.kp.entries
+        heads = {i: (d, i, None) for i, (g, d) in enumerate(entries) if g.is_zero and d <= self.top}
+        for c in self.free:
+            m, i, _ = self.columns[c]
+            heads.setdefault(i, (m, i, c))
+        by_entry: list[list[int]] = [[] for _ in entries]
+        for c, (_, i, _) in enumerate(self.columns):
+            by_entry[i].append(c)
+        gens = []
+        for m, i, c in sorted(heads.values()):
+            x = np.zeros(len(self.columns), dtype=np.int64)
+            if c is not None:
+                x[c] = 1
+                x[self.pivots] = ctx.tables().neg[self.reduced[: len(self.pivots), c]]
+            comps = [Form.make(ctx, m - d, x[cols[: m - d + 1]]) if m >= d
+                     else Form.zero(ctx, m - d) for (_, d), cols in zip(entries, by_entry)]
+            if c is None:
+                comps[i] = Form.make(ctx, 0, [1])
+            gens.append(Generator(m, tuple(comps)))
+        return gens
+
+
+def _echelons(kp: KernelPresentation) -> Iterator[GradedEchelon]:
+    """Floor-checked echelons, first as tall as a certificate needs at least
+    (the sum of the two largest nonzero twists, where two coprime entries
+    have their Koszul syzygy, or the largest zero-entry twist), then
+    doubling up to the a-priori bound m_hi."""
+    m_lo, m_hi = _scan_bounds(kp)
+    live = sorted((d for g, d in kp.entries if not g.is_zero), reverse=True)
+    top = min(max([sum(live[:2]), 1] + [d for g, d in kp.entries if g.is_zero]), m_hi)
+    while True:
+        ge = GradedEchelon(kp, top)
+        if ge.h0(m_lo) != 0:
+            raise CertificateFailure("sections below the presentation floor")
+        yield ge
+        if top == m_hi:
+            return
+        top = min(2 * top, m_hi)
+
+
+def _certified(kp: KernelPresentation, twists: list[int], what: str) -> bool:
+    """The rank/degree certificate on generator twists (negated summands):
+    False while fewer than rank are in, True for exactly rank of them
+    summing to sum(delta_i), CertificateFailure otherwise."""
+    if len(twists) < kp.rank:
+        return False
+    if len(twists) > kp.rank or sum(twists) != -kp.degree:
+        raise CertificateFailure(
+            f"{what} certificate failed: twists {sorted(twists)} vs rank "
+            f"{kp.rank}, degree {kp.degree}"
+        )
+    return True
+
+
 def splitting_type(kp: KernelPresentation) -> SplittingType:
-    """Splitting type of the kernel bundle, by certified Hilbert scan."""
-    rank_target = kp.rank
-    degree_target = kp.degree
-    if rank_target == 0:
-        if degree_target != 0:
+    """Splitting type of the kernel bundle, by certified Hilbert scan of
+    one GradedEchelon."""
+    if kp.rank == 0:
+        if kp.degree != 0:
             raise CertificateFailure("rank-0 presentation with nonzero degree")
         return SplittingType(())
-    m_lo, m_hi = _scan_bounds(kp)
-    if h0(kp, m_lo) != 0:
-        raise CertificateFailure("sections below the presentation floor")
-    summands: list[int] = []
-    h_prev = 0
-    c_prev = 0
-    for m in range(m_lo + 1, m_hi + 1):
-        h = h0(kp, m)
-        c = h - h_prev
-        mult = c - c_prev
-        if mult < 0:
-            raise CertificateFailure("h^0 first differences decreased")
-        summands.extend([-m] * mult)
-        if len(summands) >= rank_target:
-            if len(summands) > rank_target or sum(summands) != degree_target:
-                raise CertificateFailure(
-                    f"splitting certificate failed: {summands} vs rank "
-                    f"{rank_target}, degree {degree_target}"
-                )
-            return SplittingType.of(summands)
-        h_prev, c_prev = h, c
+    m_lo = _scan_bounds(kp)[0]
+    for ge in _echelons(kp):
+        twists: list[int] = []
+        for m in range(m_lo + 1, ge.top + 1):
+            mult = ge.h0(m) - 2 * ge.h0(m - 1) + ge.h0(m - 2)
+            if mult < 0:
+                raise CertificateFailure("h^0 first differences decreased")
+            twists += [m] * mult
+            if _certified(kp, twists, "splitting"):
+                return SplittingType.of(-t for t in twists)
     raise CertificateFailure("splitting scan exceeded its certified bound")
 
 
-def _shift_matrix(
-    K: np.ndarray, dims_prev: list[int], dims: list[int], by: int
-) -> np.ndarray:
-    """Multiply every level m-1 section row by s (by=0) or t (by=1)."""
-    out = np.zeros((K.shape[0], sum(dims)), dtype=np.int64)
-    off_p = 0
-    off = 0
-    for dp, d in zip(dims_prev, dims):
-        if dp:
-            out[:, off + by : off + by + dp] = K[:, off_p : off_p + dp]
-        off_p += dp
-        off += d
-    return out
-
-
-def _vector_components(ctx: FieldCtx, entries: Sequence[Entry], m: int, v: np.ndarray) -> tuple[Form, ...]:
-    comps = []
-    off = 0
-    for _, d in entries:
-        k = m - d
-        if k < 0:
-            comps.append(Form.zero(ctx, k))
-        else:
-            comps.append(Form.make(ctx, k, [int(x) for x in v[off : off + k + 1]]))
-            off += k + 1
-    return tuple(comps)
-
-
 def module_generators(kp: KernelPresentation) -> list[Generator]:
-    """Minimal generators of the graded section module of K.
-
-    Ascending in the twist, the kernel basis of Mult_m is compared with the
-    span of s and t times the previous kernel basis; basis vectors outside
-    that span are new generators (normalized to leading coefficient 1).
-    Termination uses the same dual certificate as the splitting scan, since
-    generator degrees are the negated splitting summands.
-    """
-    ctx = kp.ctx
-    entries = kp.entries
-    rank_target = kp.rank
-    degree_sum = sum(d for _, d in entries)
-    if rank_target == 0:
+    """Minimal generators (a mu-basis) of the graded section module of K,
+    read off one GradedEchelon, with the splitting scan's certificate."""
+    if kp.rank == 0:
         return []
-    m_lo, m_hi = _scan_bounds(kp)
-    if h0(kp, m_lo) != 0:
-        raise CertificateFailure("sections below the presentation floor")
-    gens: list[Generator] = []
-    prev_kernel: Optional[np.ndarray] = None
-    dims_prev = _dims(entries, m_lo)
-    for m in range(m_lo + 1, m_hi + 1):
-        dims = _dims(entries, m)
-        kernel = linalg.kernel_basis(ctx, mult_matrix(entries, m))
-        span = linalg.Echelon(ctx, sum(dims))
-        if prev_kernel is not None and prev_kernel.shape[0]:
-            span.seed_rows(
-                np.vstack(
-                    [
-                        _shift_matrix(prev_kernel, dims_prev, dims, 0),
-                        _shift_matrix(prev_kernel, dims_prev, dims, 1),
-                    ]
-                )
-            )
-        for v in kernel:
-            if span.add(v):
-                norm = linalg.normalize_leading(ctx, v)
-                gens.append(Generator(m, _vector_components(ctx, entries, m, norm)))
-        if len(gens) >= rank_target:
-            if len(gens) > rank_target or sum(g.degree for g in gens) != degree_sum:
-                raise CertificateFailure(
-                    f"generator certificate failed at twist {m}: "
-                    f"degrees {[g.degree for g in gens]}"
-                )
+    for ge in _echelons(kp):
+        gens = ge.generators()
+        if _certified(kp, [g.degree for g in gens], "generator"):
             return gens
-        prev_kernel = kernel
-        dims_prev = dims
     raise CertificateFailure("generator scan exceeded its certified bound")
 
 
@@ -365,43 +372,30 @@ def coordinates_in_basis(
         raise DegreeMismatch("section components disagree on the twist")
     m = twists.pop()
     dims = _dims(entries, m)
-    width = sum(dims)
+    offsets = np.cumsum([0] + dims[:-1])
     rhs = _section_flat(entries, m, section)
-    cols: list[np.ndarray] = []
+    A = np.zeros((len(rhs), 0), dtype=np.int64)
     spans: list[tuple[int, int]] = []
     for gen in gens:
         k = m - gen.degree
-        start = len(cols)
+        start = A.shape[1]
         if k >= 0:
+            # column w is the generator times s^(k-w) t^w: every block shifted by w
             gdims = _dims(entries, gen.degree)
-            gflat = _section_flat(entries, gen.degree, gen.components)
-            for w in range(k + 1):
-                shifted = np.zeros(width, dtype=np.int64)
-                off_g = 0
-                off = 0
-                for gd, d in zip(gdims, dims):
-                    if gd:
-                        shifted[off + w : off + w + gd] = gflat[off_g : off_g + gd]
-                    off_g += gd
-                    off += d
-                cols.append(shifted)
-        spans.append((start, len(cols)))
-    if cols:
-        A = np.stack(cols, axis=1)
-        sol = linalg.solve(ctx, A, rhs)
-    else:
-        A = np.zeros((width, 0), dtype=np.int64)
-        sol = np.zeros(0, dtype=np.int64) if not rhs.any() else None
+            pos = np.concatenate([o + np.arange(gd) for o, gd in zip(offsets, gdims)])
+            flat = _section_flat(entries, gen.degree, gen.components)
+            ws = np.arange(k + 1)
+            block = np.zeros((A.shape[0], k + 1), dtype=np.int64)
+            block[pos[:, None] + ws, ws] = flat[:, None]
+            A = np.concatenate([A, block], axis=1)
+        spans.append((start, A.shape[1]))
+    sol = linalg.solve(ctx, A, rhs)
     if sol is None:
         raise NotInModule("section is not a combination of the generators")
-    coords: list[Form] = []
-    for gen, (start, end) in zip(gens, spans):
-        k = m - gen.degree
-        if k < 0:
-            coords.append(Form.zero(ctx, k))
-        else:
-            coords.append(Form.make(ctx, k, [int(x) for x in sol[start:end]]))
-    return coords
+    return [
+        Form.make(ctx, m - gen.degree, sol[a:b]) if b > a else Form.zero(ctx, m - gen.degree)
+        for gen, (a, b) in zip(gens, spans)
+    ]
 
 
 # Pullback bundles of a curve on the Fermat hypersurface.

@@ -1,7 +1,12 @@
 """Verdicts and models: degree windows, the balanced prediction, tangent
 dimension reports, and the coefficient vanishing probe."""
 
+import functools
+import time
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fermatrc import splitbundle
 from fermatrc.classify import (
@@ -14,7 +19,17 @@ from fermatrc.classify import (
     tangent_report,
 )
 from fermatrc.errors import UsageError
-from fermatrc.fermat import FermatParams, lift
+from fermatrc.fermat import (
+    FermatParams,
+    compose_cover,
+    lift,
+    make_line,
+    roots_of_minus_one,
+    validate,
+)
+from fermatrc.ff import FieldCtx
+from fermatrc.forms import Form
+from fermatrc.search import SearchConfig, alternating_solve, random_cover_family
 
 
 def test_prime_power():
@@ -25,6 +40,45 @@ def test_prime_power():
     for bad in (1, 6, 12):
         with pytest.raises(UsageError):
             prime_power(bad)
+
+
+def _trial_division(m):
+    p = next((p for p in range(2, int(m**0.5) + 1) if m % p == 0), m)
+    r = 0
+    while m % p == 0:
+        m //= p
+        r += 1
+    return (p, r) if m == 1 else None
+
+
+def test_prime_power_agrees_with_trial_division():
+    for m in range(2, 10**4 + 1):
+        try:
+            got = prime_power(m)
+        except UsageError:
+            got = None
+        assert got == _trial_division(m), m
+
+
+@pytest.mark.parametrize(
+    "m, want",
+    [
+        (10**18 + 3, (10**18 + 3, 1)),
+        (2**61 - 1, (2**61 - 1, 1)),
+        (3**39, (3, 39)),
+        (2**62, (2, 62)),
+        ((10**18 + 3) ** 2, (10**18 + 3, 2)),
+        ((10**18 + 3) * (2**61 - 1), None),
+    ],
+)
+def test_prime_power_answers_large_inputs_fast(m, want):
+    t0 = time.perf_counter()
+    if want is None:
+        with pytest.raises(UsageError):
+            prime_power(m)
+    else:
+        assert prime_power(m) == want
+    assert time.perf_counter() - t0 < 1
 
 
 def test_windows_pr4():
@@ -183,3 +237,59 @@ def test_probe_is_deterministic(params44):
     a = coefficient_vanishing_probe(params44, 3, trials=20, seed=123)
     b = coefficient_vanishing_probe(params44, 3, trials=20, seed=123)
     assert a.to_json() == b.to_json()
+
+
+def _embed(curve, ctx):
+    """The same curve over an extension field: the generator of the small
+    field goes to a root of its modulus in ctx (digits below p are the
+    prime field in both encodings)."""
+    small = curve.ctx
+
+    def value(coeffs, z):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = ctx.add(ctx.mul(acc, z), c)
+        return acc
+
+    z = next(z for z in ctx.elements() if value(small.modulus, z) == 0)
+    image = [value(small.decode(a), z) for a in range(small.q)]
+    params = FermatParams.make(curve.params.p, curve.params.r, curve.params.N, ctx=ctx)
+    forms = [Form.make(ctx, f.deg, [image[c] for c in f.coeffs]) if not f.is_zero
+             else Form.zero(ctx, f.deg) for f in curve.forms]
+    return validate(params, curve.e, forms)
+
+
+@functools.lru_cache(maxsize=None)
+def _reparam_curves(field):
+    """A line, a solver hit and a cover of the line on X44 (GF(9), GF(729))
+    or X55 (GF(16)).  The solver misses over GF(729), so its hit there is
+    the GF(9) hit, embedded."""
+    if field == "GF(16)":
+        params = FermatParams.make(2, 2, 5)
+        hit = alternating_solve(SearchConfig(params, 1, seed=0, max_iter=200))
+    else:
+        params = FermatParams.make(3, 1, 4)
+        hit = alternating_solve(SearchConfig(params, 2, seed=1, max_iter=500))
+        if field == "GF(729)":
+            params = FermatParams.make(3, 1, 4, ctx=FieldCtx(3, 6))
+            hit = _embed(hit, params.ctx)
+    root = roots_of_minus_one(params.ctx, params.d)[0]
+    line = make_line(params, root, root)
+    cover = random_cover_family(SearchConfig(params, 2, seed=7), line, 1)[0]
+    return {"line": line, "solver": hit, "cover": cover}
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    field=st.sampled_from(["GF(9)", "GF(16)", "GF(729)"]),
+    kind=st.sampled_from(["line", "solver", "cover"]),
+    matrix=st.lists(st.integers(0, 728), min_size=4, max_size=4),
+)
+def test_classify_is_invariant_under_reparametrization(field, kind, matrix):
+    curve = _reparam_curves(field)[kind]
+    ctx = curve.ctx
+    a, b, c, d = (x % ctx.q for x in matrix)
+    assume(ctx.sub(ctx.mul(a, d), ctx.mul(b, c)) != 0)
+    moved = compose_cover(curve, Form.make(ctx, 1, [a, b]), Form.make(ctx, 1, [c, d]))
+    assert moved.e == curve.e
+    assert classify(moved).to_json() == classify(curve).to_json()

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -287,6 +288,15 @@ def test_balanced_model_cli(capsys):
     assert code == 3 and payload["kind"] == "UsageError"
 
 
+def test_balanced_model_on_a_large_prime_is_fast(capsys):
+    t0 = time.perf_counter()
+    code, payload = _run_json(
+        capsys, "balanced-model", "--e", "1", "--N", "3", "--pr", str(10**18 + 3)
+    )
+    assert code == 0 and payload["pr"] == 10**18 + 3
+    assert time.perf_counter() - t0 < 1
+
+
 def test_probe_vanishing_cli(capsys):
     code, payload = _run_json(
         capsys, "probe-vanishing", "--pr", "3", "--e", "1", "--budget", "5"
@@ -415,6 +425,23 @@ def test_survey_stream(capsys):
     code, payload = _run_json(capsys, "survey", "--pr", "3", "--max", "1",
                               "--budget", "0")
     assert code == 3
+
+
+def test_survey_max_costs_no_memory(capsys):
+    # the degree range is never listed, so a huge --max costs what --max 1 does
+    _, want = _run(capsys, "survey", "--pr", "3", "--max", "1", "--budget", "1")
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        code, out = _run(capsys, "survey", "--pr", "3", "--max", str(10**12),
+                         "--budget", "1")
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and out == want
+    assert elapsed < 2
+    assert peak < 4 * 2**20
 
 
 def test_survey_output_is_unchanged(capsys):

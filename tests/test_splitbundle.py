@@ -31,6 +31,7 @@ from fermatrc.rng import SplitMix64
 from fermatrc.search import SearchConfig, random_cover_family
 from fermatrc.splitbundle import (
     Generator,
+    GradedEchelon,
     KernelPresentation,
     SplittingType,
     coordinates_in_basis,
@@ -317,11 +318,12 @@ _PULLBACK_FIELDS = {
     "GF(16)": (2, 2, 4),
     "GF(25)": (5, 1, 2),
 }
+_FIELDS = {**_PULLBACK_FIELDS, "GF(729)": (3, 1, 6)}
 
 
 @functools.lru_cache(maxsize=None)
 def _pullback_params(field, N):
-    p, r, n = _PULLBACK_FIELDS[field]
+    p, r, n = _FIELDS[field]
     return FermatParams.make(p, r, N, ctx=FieldCtx(p, n))
 
 
@@ -390,3 +392,99 @@ def test_wrong_derived_f_fails_the_direct_count(line44, monkeypatch):
     monkeypatch.setattr(splitbundle, "frobenius_pullback", off_by_one)
     with pytest.raises(CertificateFailure, match=r"f\*F splitting disagrees"):
         tx_pipeline(line44)
+
+
+def _random_presentation(ctx, seed):
+    """One to five entries of mixed degrees, a quarter of them zero with a
+    twist in [-3, 6]; sparse coefficients, redrawn until coprime."""
+    rng = SplitMix64(seed)
+    while True:
+        entries = []
+        for _ in range(1 + rng.below(5)):
+            if rng.below(4) == 0:
+                d = rng.below(10) - 3
+                entries.append((Form.zero(ctx, d), d))
+            else:
+                d = rng.below(6)
+                coeffs = [rng.below(ctx.q) if rng.below(3) else 0 for _ in range(d + 1)]
+                entries.append((Form.make(ctx, d, coeffs), d))
+        try:
+            return KernelPresentation.make(entries)
+        except DomainError:
+            continue
+
+
+def _apply(kp, components):
+    """sum g_i * h_i, the image of a section under the presentation."""
+    acc = Form.zero(kp.ctx, 0)
+    for (g, _), h in zip(kp.entries, components):
+        if not g.is_zero and not h.is_zero:
+            acc = acc + g * h
+    return acc
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(
+    field=st.sampled_from(sorted(_FIELDS)),
+    source=st.sampled_from(["random", "omega", "frobenius"]),
+    on_x=st.booleans(),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_graded_echelon_against_h0(field, source, on_x, seed):
+    if source == "random":
+        kp = _random_presentation(_pullback_params(field, 3).ctx, seed)
+    else:
+        curve = _seeded_curve(_pullback_params(field, 3 + seed % 2), 1 + seed % 3, on_x, seed)
+        kp = (omega_presentation if source == "omega" else frob_presentation)(curve)
+    split = splitting_type(kp)
+    gens = module_generators(kp)
+    # rank-many kernel elements whose twists are the negated splitting
+    assert len(gens) == kp.rank
+    assert sorted(-g.degree for g in gens) == sorted(split.summands)
+    for gen in gens:
+        for c, (_, d) in zip(gen.components, kp.entries):
+            assert c.deg == gen.degree - d
+        assert _apply(kp, gen.components).is_zero
+    # the graded Hilbert function is h0 at every twist up to the top
+    m_lo = min(d for _, d in kp.entries) - 2
+    top = max([g.degree for g in gens] + [m_lo + 1]) + 1
+    ge = GradedEchelon(kp, top)
+    for m in range(m_lo, top + 1):
+        assert ge.h0(m) == h0(kp, m) == split.h0_at(m), m
+    with pytest.raises(TwistOutOfRange):
+        ge.h0(top + 1)
+    assert ge.generators() == gens
+    # the generators span: a Koszul syzygy of two live entries is a combination
+    live = [i for i, (g, _) in enumerate(kp.entries) if not g.is_zero]
+    if len(live) >= 2:
+        a, b = live[:2]
+        (ga, da), (gb, db) = kp.entries[a], kp.entries[b]
+        section = [Form.zero(kp.ctx, da + db - d) for _, d in kp.entries]
+        section[a], section[b] = gb, -ga
+        coords = coordinates_in_basis(kp, gens, section)
+        for j in range(len(kp.entries)):
+            acc = Form.zero(kp.ctx, da + db - kp.entries[j][1])
+            for c, gen in zip(coords, gens):
+                if not c.is_zero and not gen.components[j].is_zero:
+                    acc = acc + c * gen.components[j]
+            assert acc == section[j] or (acc.is_zero and section[j].is_zero)
+
+
+def test_short_echelon_is_doubled(line44, monkeypatch):
+    kp = frob_presentation(line44)
+    want = (splitting_type(kp), [g.degree for g in module_generators(kp)])
+    _, m_hi = splitbundle._scan_bounds(kp)
+    tops = [ge.top for ge in splitbundle._echelons(kp)]
+    assert tops[0] == 2 * 3 and tops[-1] == m_hi
+    assert all(b == min(2 * a, m_hi) for a, b in zip(tops, tops[1:]))
+    # an echelon too short for any generator makes both scans take the next
+    real = GradedEchelon
+    asked = []
+
+    def short_first(kp, top):
+        asked.append(top)
+        return real(kp, 2 if len(asked) in (1, 3) else top)
+
+    monkeypatch.setattr(splitbundle, "GradedEchelon", short_first)
+    assert (splitting_type(kp), [g.degree for g in module_generators(kp)]) == want
+    assert asked == tops[:2] * 2
