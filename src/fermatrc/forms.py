@@ -62,10 +62,6 @@ class Form:
             j -= 1
         return j
 
-    def s_valuation(self) -> Optional[int]:
-        td = self.t_degree()
-        return None if td is None else self.deg - td
-
     def __add__(self, other: "Form") -> "Form":
         if self.ctx != other.ctx:
             raise ValueError("mixed field contexts")

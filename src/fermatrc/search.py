@@ -53,6 +53,9 @@ _SURVEY_SCAN_CAP = 60_000
 
 _ALTERNATING_DRAWS = 8
 
+# cover sampling gives up after this many degenerate pairs in a row
+_DEGENERATE_DRAWS = 1000
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -232,8 +235,14 @@ def alternating_solve(config: SearchConfig) -> Optional[Curve]:
 
 
 def random_cover_family(config: SearchConfig, base: Curve, count: int) -> list[Curve]:
-    """count seeded covers of base with base-point-free pairs of degree
-    config.e / base.e; draws sharing a factor are rejected and redrawn."""
+    """The first count covers of _cover_stream(config, base)."""
+    return list(itertools.islice(_cover_stream(config, base), count))
+
+
+def _cover_stream(config: SearchConfig, base: Curve) -> Iterator[Curve]:
+    """Seeded covers of base with base-point-free pairs of degree
+    config.e / base.e, one at a time; draws sharing a factor are rejected
+    and redrawn.  The arguments are checked at call time."""
     if base.params != config.params:
         raise ValueError("base curve parameters do not match the search")
     if config.e % base.e != 0:
@@ -242,21 +251,22 @@ def random_cover_family(config: SearchConfig, base: Curve, count: int) -> list[C
         )
     k = config.e // base.e
     ctx = config.params.ctx
-    rng = SplitMix64(config.seed)
-    out: list[Curve] = []
-    attempts = 0
-    while len(out) < count:
-        attempts += 1
-        if attempts > 1000 * (count + 1):
-            raise RuntimeError("cover sampling kept drawing degenerate pairs")
-        phi0 = Form.make(ctx, k, [rng.below(ctx.q) for _ in range(k + 1)])
-        phi1 = Form.make(ctx, k, [rng.below(ctx.q) for _ in range(k + 1)])
-        if phi0.is_zero or phi1.is_zero:
-            continue
-        if form_gcd([phi0, phi1]).deg != 0:
-            continue
-        out.append(compose_cover(base, phi0, phi1))
-    return out
+
+    def covers() -> Iterator[Curve]:
+        rng = SplitMix64(config.seed)
+        degenerate = 0
+        while True:
+            phi0 = Form.make(ctx, k, [rng.below(ctx.q) for _ in range(k + 1)])
+            phi1 = Form.make(ctx, k, [rng.below(ctx.q) for _ in range(k + 1)])
+            if phi0.is_zero or phi1.is_zero or form_gcd([phi0, phi1]).deg != 0:
+                degenerate += 1
+                if degenerate > _DEGENERATE_DRAWS:
+                    raise RuntimeError("cover sampling kept drawing degenerate pairs")
+                continue
+            degenerate = 0
+            yield compose_cover(base, phi0, phi1)
+
+    return covers()
 
 
 def _scan_budget(params: FermatParams, e: int, units: Sequence[int]) -> int:
@@ -413,9 +423,5 @@ def _survey_degree(
         yield from classified(scan, "exhaustive")
     bases = [b for b in lines if e % b.e == 0]
     if bases and count < quota:
-        covers = random_cover_family(
-            SearchConfig(params, e, derive_seed(seed, 2)),
-            bases[0],
-            quota - count,
-        )
-        yield from classified(covers, "covers")
+        covers = _cover_stream(SearchConfig(params, e, derive_seed(seed, 2)), bases[0])
+        yield from classified(itertools.islice(covers, quota - count), "covers")

@@ -12,17 +12,19 @@ declared twist, including negative) and contribute free summands O(-delta_i).
 H^0(K(m)) is the kernel of Mult_m : sum_i H^0(O(m - delta_i)) -> H^0(O(m)),
 (h_i) -> sum g_i h_i.  At s = 1 the column (i, w) of Mult_m is t^w * g_i for
 every m >= w + delta_i, so with columns sorted by that twist Mult_m is a
-prefix of Mult_top, and one rref (GradedEchelon) serves every m <= top:
-h^0(K(m)) counts the non-pivot columns of twist <= m, plus
-max(m - delta_i + 1, 0) for each zero entry, which gets no columns.  The
-multiplicity of O(-m) is the second difference at m.  As t maps (i, w) to
-(i, w + 1) in order, the non-pivot columns of an entry form a tail, and the
-kernel vectors of the first ones are a mu-basis: their t-multiples lead at
-exactly the non-pivot columns (Hong, Hough and Kogan, J. Symbolic Comput.
-80, 2017, here for entries of any degree).  Both scans are certified: no
-sections at the floor, first differences that never decrease, and exactly
-rank summands of total degree -sum(delta_i).  The echelon doubles in
-height until that holds; past the a-priori bound CertificateFailure.
+prefix of Mult_top, and one rref (GradedEchelon) serves every m <= top.  As
+t maps (i, w) to (i, w + 1) in order, the non-pivot columns of an entry form
+a tail.  Its first column is the entry's head; a zero entry, which gets no
+columns, has its own twist as head.  The kernel vectors of the heads and
+the unit vectors of the zero entries are a mu-basis: their t-multiples lead
+at exactly the non-pivot columns (Hong, Hough and Kogan, J. Symbolic Comput.
+80, 2017, here for entries of any degree).  So the section module is free
+on the heads, K is the sum of O(-head), and h^0(K(m)) is
+sum max(m - head + 1, 0).  Two certificates hold that reading: the tail
+count (the non-pivot columns number exactly sum(top - head + 1) over the
+heads of nonzero entries), and exactly rank heads of total twist
+sum(delta_i).  The echelon doubles in height until the second holds; past
+the a-priori bound CertificateFailure.
 
 For a curve f on a Fermat hypersurface of degree d = p^r + 1 this yields
 the pullback tangent bundle in three stages:
@@ -50,9 +52,8 @@ The classifier checks the forbidden degree windows on top.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -70,8 +71,6 @@ from .errors import (
 from .fermat import Curve
 from .ff import FieldCtx
 from .forms import Form, form_gcd
-
-_SAFETY_MARGIN = 1
 
 Entry = tuple[Form, int]
 
@@ -211,16 +210,15 @@ def h0(kp: KernelPresentation, m: int) -> int:
     return M.shape[1] - linalg.rank(kp.ctx, M)
 
 
-def _scan_bounds(kp: KernelPresentation) -> tuple[int, int]:
-    deltas = [d for _, d in kp.entries]
-    m_lo = min(deltas) - 1 - _SAFETY_MARGIN
-    m_hi = sum(abs(d) for d in deltas) + kp.rank
-    return m_lo, m_hi
+def _scan_bound(kp: KernelPresentation) -> int:
+    """A-priori bound on the mu-basis twists."""
+    return sum(abs(d) for _, d in kp.entries) + kp.rank
 
 
 class GradedEchelon:
-    """One rref of Mult_top, columns sorted by (twist, entry, t-shift): the
-    Hilbert function and the minimal generators up to twist top."""
+    """One rref of Mult_top, columns sorted by (twist, entry, t-shift), read
+    as its heads up to twist top, ascending: (twist, entry, column) of each
+    entry's first non-pivot column, and (delta_i, i, None) for a zero entry."""
 
     def __init__(self, kp: KernelPresentation, top: int):
         self.kp, self.top = kp, top
@@ -232,36 +230,29 @@ class GradedEchelon:
             M[w : w + g.deg + 1, c] = g.coeffs
         self.reduced, self.pivots = linalg.rref(kp.ctx, M)
         pivot_set = set(self.pivots)
-        self.free = [c for c in range(len(self.columns)) if c not in pivot_set]
-        free_twists = [self.columns[c][0] for c in self.free]
-        zeros = [d for g, d in kp.entries if g.is_zero]
-        self._lo = min(d for _, d in kp.entries)  # no sections below
-        self._hilbert = [
-            sum(max(m - d + 1, 0) for d in zeros) + bisect.bisect_right(free_twists, m)
-            for m in range(self._lo, top + 1)
-        ]
-
-    def h0(self, m: int) -> int:
-        """dim H^0(K(m)), exact for every m <= top."""
-        if m > self.top:
-            raise TwistOutOfRange(f"twist {m} is above the echelon's top {self.top}")
-        return self._hilbert[m - self._lo] if m >= self._lo else 0
+        heads = {i: (d, i, None) for i, (g, d) in enumerate(kp.entries) if g.is_zero and d <= top}
+        for c, (m, i, _) in enumerate(self.columns):
+            if c not in pivot_set:
+                heads.setdefault(i, (m, i, c))
+        self.heads = sorted(heads.values())
+        # t maps (i, w) to (i, w + 1) in column order, so every column of an
+        # entry from its head up to top is non-pivot, and no other is
+        free = len(self.columns) - len(self.pivots)
+        if free != sum(top - m + 1 for m, _, c in self.heads if c is not None):
+            raise CertificateFailure(
+                f"non-pivot columns are not tails: {free} of them, heads "
+                f"{[m for m, _, _ in self.heads]} at top {top}"
+            )
 
     def generators(self) -> list[Generator]:
-        """The generators of twist <= top, ascending in (twist, entry): the
-        kernel vector of each entry's first non-pivot column, 1 there, and
-        the unit vector of each zero entry (which has no columns) at its
-        own twist."""
+        """One generator per head: the kernel vector of its column, 1 there,
+        or the unit vector of a zero entry."""
         ctx, entries = self.kp.ctx, self.kp.entries
-        heads = {i: (d, i, None) for i, (g, d) in enumerate(entries) if g.is_zero and d <= self.top}
-        for c in self.free:
-            m, i, _ = self.columns[c]
-            heads.setdefault(i, (m, i, c))
         by_entry: list[list[int]] = [[] for _ in entries]
         for c, (_, i, _) in enumerate(self.columns):
             by_entry[i].append(c)
         gens = []
-        for m, i, c in sorted(heads.values()):
+        for m, i, c in self.heads:
             x = np.zeros(len(self.columns), dtype=np.int64)
             if c is not None:
                 x[c] = 1
@@ -274,68 +265,38 @@ class GradedEchelon:
         return gens
 
 
-def _echelons(kp: KernelPresentation) -> Iterator[GradedEchelon]:
-    """Floor-checked echelons, first as tall as a certificate needs at least
-    (the sum of the two largest nonzero twists, where two coprime entries
-    have their Koszul syzygy, or the largest zero-entry twist), then
-    doubling up to the a-priori bound m_hi."""
-    m_lo, m_hi = _scan_bounds(kp)
+def _mu_basis(kp: KernelPresentation) -> GradedEchelon:
+    """The first echelon whose heads pass the rank/degree certificate:
+    exactly rank of them, of total twist sum(delta_i).  It starts as tall as
+    that can first hold (the sum of the two largest nonzero twists, where
+    two coprime entries have their Koszul syzygy, or the largest zero-entry
+    twist) and doubles up to the a-priori bound."""
+    m_hi = _scan_bound(kp)
     live = sorted((d for g, d in kp.entries if not g.is_zero), reverse=True)
     top = min(max([sum(live[:2]), 1] + [d for g, d in kp.entries if g.is_zero]), m_hi)
     while True:
         ge = GradedEchelon(kp, top)
-        if ge.h0(m_lo) != 0:
-            raise CertificateFailure("sections below the presentation floor")
-        yield ge
+        twists = [m for m, _, _ in ge.heads]
+        if len(twists) >= kp.rank:
+            if len(twists) > kp.rank or sum(twists) != -kp.degree:
+                raise CertificateFailure(
+                    f"rank/degree certificate failed: twists {twists} vs rank "
+                    f"{kp.rank}, degree {kp.degree}"
+                )
+            return ge
         if top == m_hi:
-            return
+            raise CertificateFailure("mu-basis scan exceeded its certified bound")
         top = min(2 * top, m_hi)
 
 
-def _certified(kp: KernelPresentation, twists: list[int], what: str) -> bool:
-    """The rank/degree certificate on generator twists (negated summands):
-    False while fewer than rank are in, True for exactly rank of them
-    summing to sum(delta_i), CertificateFailure otherwise."""
-    if len(twists) < kp.rank:
-        return False
-    if len(twists) > kp.rank or sum(twists) != -kp.degree:
-        raise CertificateFailure(
-            f"{what} certificate failed: twists {sorted(twists)} vs rank "
-            f"{kp.rank}, degree {kp.degree}"
-        )
-    return True
-
-
 def splitting_type(kp: KernelPresentation) -> SplittingType:
-    """Splitting type of the kernel bundle, by certified Hilbert scan of
-    one GradedEchelon."""
-    if kp.rank == 0:
-        if kp.degree != 0:
-            raise CertificateFailure("rank-0 presentation with nonzero degree")
-        return SplittingType(())
-    m_lo = _scan_bounds(kp)[0]
-    for ge in _echelons(kp):
-        twists: list[int] = []
-        for m in range(m_lo + 1, ge.top + 1):
-            mult = ge.h0(m) - 2 * ge.h0(m - 1) + ge.h0(m - 2)
-            if mult < 0:
-                raise CertificateFailure("h^0 first differences decreased")
-            twists += [m] * mult
-            if _certified(kp, twists, "splitting"):
-                return SplittingType.of(-t for t in twists)
-    raise CertificateFailure("splitting scan exceeded its certified bound")
+    """Splitting type of the kernel bundle: the negated head twists."""
+    return SplittingType.of(-m for m, _, _ in _mu_basis(kp).heads)
 
 
 def module_generators(kp: KernelPresentation) -> list[Generator]:
-    """Minimal generators (a mu-basis) of the graded section module of K,
-    read off one GradedEchelon, with the splitting scan's certificate."""
-    if kp.rank == 0:
-        return []
-    for ge in _echelons(kp):
-        gens = ge.generators()
-        if _certified(kp, [g.degree for g in gens], "generator"):
-            return gens
-    raise CertificateFailure("generator scan exceeded its certified bound")
+    """Minimal generators (a mu-basis) of the graded section module of K."""
+    return _mu_basis(kp).generators()
 
 
 def _section_flat(entries: Sequence[Entry], m: int, section: Sequence[Form]) -> np.ndarray:

@@ -20,6 +20,7 @@ from fermatrc import fermat, search
 from fermatrc.cli import EXIT_BROKEN_PIPE, WINDOWS_LIMIT, main
 from fermatrc.errors import WindowViolation
 from fermatrc.fermat import Curve
+from fermatrc.ff import FieldCtx
 
 SCHEMA = "fermat-rc/1"
 
@@ -455,6 +456,48 @@ def test_survey_output_is_unchanged(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "8833e367d29521331e17f450b42db9dad16cfc9ef05913157d025d7df8567812"
     )
+
+
+# stdout sha256 recorded at an earlier commit: a refactor keeps them byte for byte
+_SURVEY_DIGESTS = {
+    "survey --pr 3 --max 3 --budget 30 --seed 11":
+        "24f2a978b979163740fad4c455a9b75616bbb7efe5206bc4d389271cba9c3371",
+    "survey --pr 4 --max 1 --budget 30 --seed 11":
+        "6701df56eef0128b9dc99070fd880d0d69d82908d003927278890d0526eda02f",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SURVEY_DIGESTS))
+def test_survey_digests_are_pinned(capsys, command):
+    code, out = _run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _SURVEY_DIGESTS[command]
+
+
+# (p, r, n, N) -> sha256 of each cover's file and classify stdout, recorded
+# as for _SURVEY_DIGESTS; the splittings have up to three distinct summands
+_CLASSIFY_DIGESTS = {
+    (3, 1, 2, 4): "300e35ba003adee8936a2276ef58a26067a544251d7e15e960f2d3287f28518a",
+    (2, 2, 4, 5): "25ccae2e2c4e6655eecd4c757726198ff9fe552cc4fd8fdcb7709f49fb764673",
+    (3, 1, 6, 4): "b591908d3ae1aec9f6eb189f63a4453f111b4a86bd2d92ba27452179de6ceaee",
+}
+
+
+@pytest.mark.parametrize("field", sorted(_CLASSIFY_DIGESTS), ids=lambda f: f"GF({f[0]}^{f[2]})")
+def test_classify_digests_are_pinned(capsys, tmp_path, field):
+    p, r, n, N = field
+    params = fermat.FermatParams.make(p, r, N, ctx=FieldCtx(p, n))
+    line = fermat.make_line(params, *[fermat.roots_of_minus_one(params.ctx, params.d)[0]] * 2)
+    text = []
+    for e in (2, 3):
+        covers = search.random_cover_family(search.SearchConfig(params, e, seed=e), line, 2)
+        for i, cover in enumerate(covers):
+            path = tmp_path / f"cover{e}_{i}.json"
+            path.write_text(json.dumps(cover.to_json()))
+            code, out = _run(capsys, "classify", "--curve", str(path))
+            assert code == 0
+            text.append(path.read_text() + "\n" + out)
+    assert hashlib.sha256("".join(text).encode()).hexdigest() == _CLASSIFY_DIGESTS[field]
 
 
 def test_survey_keeps_rows_written_before_an_error(capsys, monkeypatch):

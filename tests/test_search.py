@@ -1,6 +1,10 @@
 """Curve producers: line enumeration, the alternating heuristic, cover
 sampling, the gated exhaustive scan, and the survey driver."""
 
+import itertools
+import time
+import tracemalloc
+
 import pytest
 
 from fermatrc import search as search_module
@@ -114,6 +118,14 @@ def test_cover_family_rejects_bad_degrees(params44, params55, line44):
         random_cover_family(SearchConfig(params55, 2, seed=1), line44, 1)
 
 
+def test_cover_sampling_gives_up_on_degenerate_draws(params44, line44, monkeypatch):
+    # every pair "shares a factor": the stream stops after a bounded run
+    monkeypatch.setattr(search_module, "form_gcd", lambda forms: forms[0])
+    covers = search_module._cover_stream(SearchConfig(params44, 2, seed=1), line44)
+    with pytest.raises(RuntimeError, match="degenerate pairs"):
+        next(covers)
+
+
 def test_exhaustive_scan_small_instance(params43):
     found = exhaustive_scan(SearchConfig(params43, 1, strategy="exhaustive"))
     assert len(found) == 1
@@ -159,6 +171,27 @@ def test_survey_budget_is_a_cap(params44):
         survey(params44, [], budget=5)
     with pytest.raises(ValueError):
         survey(params44, [1], budget=0)
+
+
+def test_survey_streams_its_covers(params44):
+    # the first cover row of a huge budget comes as fast, and from as little
+    # memory, as that of a small one, and it is the same row
+    t0 = time.perf_counter()
+    tracemalloc.start()
+    try:
+        rows = []
+        for row in survey(params44, [2], 20_000):
+            rows.append(row.to_json())
+            if row.source == "covers":
+                break
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows[-1]["source"] == "covers"
+    small = [row.to_json() for row in itertools.islice(survey(params44, [2], 20), len(rows))]
+    assert rows == small
+    assert elapsed < 5.0 and peak < 4 << 20, (elapsed, peak)
 
 
 def _record_calls(monkeypatch, calls, *names):

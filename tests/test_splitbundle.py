@@ -445,15 +445,13 @@ def test_graded_echelon_against_h0(field, source, on_x, seed):
         for c, (_, d) in zip(gen.components, kp.entries):
             assert c.deg == gen.degree - d
         assert _apply(kp, gen.components).is_zero
-    # the graded Hilbert function is h0 at every twist up to the top
+    # the heads' Hilbert function is h0 at every twist up to the top, and a
+    # taller echelon has the same heads
     m_lo = min(d for _, d in kp.entries) - 2
     top = max([g.degree for g in gens] + [m_lo + 1]) + 1
-    ge = GradedEchelon(kp, top)
     for m in range(m_lo, top + 1):
-        assert ge.h0(m) == h0(kp, m) == split.h0_at(m), m
-    with pytest.raises(TwistOutOfRange):
-        ge.h0(top + 1)
-    assert ge.generators() == gens
+        assert split.h0_at(m) == h0(kp, m), m
+    assert GradedEchelon(kp, top).generators() == gens
     # the generators span: a Koszul syzygy of two live entries is a combination
     live = [i for i, (g, _) in enumerate(kp.entries) if not g.is_zero]
     if len(live) >= 2:
@@ -473,13 +471,23 @@ def test_graded_echelon_against_h0(field, source, on_x, seed):
 def test_short_echelon_is_doubled(line44, monkeypatch):
     kp = frob_presentation(line44)
     want = (splitting_type(kp), [g.degree for g in module_generators(kp)])
-    _, m_hi = splitbundle._scan_bounds(kp)
-    tops = [ge.top for ge in splitbundle._echelons(kp)]
-    assert tops[0] == 2 * 3 and tops[-1] == m_hi
-    assert all(b == min(2 * a, m_hi) for a, b in zip(tops, tops[1:]))
-    # an echelon too short for any generator makes both scans take the next
+    m_hi = splitbundle._scan_bound(kp)
     real = GradedEchelon
     asked = []
+
+    def always_short(kp, top):
+        asked.append(top)
+        return real(kp, 2)
+
+    # echelons too short for any generator double up to the bound, then fail
+    monkeypatch.setattr(splitbundle, "GradedEchelon", always_short)
+    with pytest.raises(CertificateFailure, match="exceeded its certified bound"):
+        splitting_type(kp)
+    tops = list(asked)
+    assert tops[0] == 2 * 3 and tops[-1] == m_hi
+    assert all(b == min(2 * a, m_hi) for a, b in zip(tops, tops[1:]))
+    # one short echelon makes both scans take the next
+    asked.clear()
 
     def short_first(kp, top):
         asked.append(top)
@@ -488,3 +496,27 @@ def test_short_echelon_is_doubled(line44, monkeypatch):
     monkeypatch.setattr(splitbundle, "GradedEchelon", short_first)
     assert (splitting_type(kp), [g.degree for g in module_generators(kp)]) == want
     assert asked == tops[:2] * 2
+
+
+def test_tail_count_catches_a_pivot_reported_free(line44, monkeypatch):
+    kp = frob_presentation(line44)
+    rref = splitbundle.linalg.rref
+
+    def drops_first_pivot(ctx, mat):
+        reduced, pivots = rref(ctx, mat)
+        return reduced, pivots[1:]
+
+    monkeypatch.setattr(splitbundle.linalg, "rref", drops_first_pivot)
+    with pytest.raises(CertificateFailure, match="not tails"):
+        splitting_type(kp)
+    with pytest.raises(CertificateFailure, match="not tails"):
+        module_generators(kp)
+
+
+def test_rank_degree_certificate_catches_a_common_factor(gf3):
+    # (t, t) shares the zero of t, so validation refuses it; built raw, its
+    # kernel is generated in twist 1, not in the twist 2 the certificate needs
+    kp = object.__new__(KernelPresentation)
+    object.__setattr__(kp, "entries", ((Form.make(gf3, 1, [0, 1]), 1),) * 2)
+    with pytest.raises(CertificateFailure, match="rank/degree certificate failed"):
+        splitting_type(kp)
