@@ -39,6 +39,17 @@ EXIT_BROKEN_PIPE = 141
 # windows and checks every degree up to --max
 WINDOWS_LIMIT = 100_000
 
+# search --strategy alternating refuses more matrix cells than this over all
+# its rounds.  A round holds the multiplication matrix (d*e + 1 rows) and
+# its dense kernel basis, both (N + 1)(e + 1) wide: --pr 3 --N 2000 --e 1
+# --budget 1 is 16 million cells, 1.7 s and a 152 MB peak
+ALTERNATING_LIMIT = 1 << 24
+
+# probe-vanishing refuses more coefficient operations than this: a trial
+# draws (N + 1)(e + 1) coefficients, multiplies (N + 1)(e + 1)^2 pairs into
+# a d*e + 1 expansion, each about 1 us over GF(9) and 2 us over GF(729)
+PROBE_LIMIT = 1 << 25
+
 _BUNDLES = {
     "tx": ("TX", splitbundle.splitting_tx),
     "f": ("F", splitbundle.splitting_f),
@@ -138,7 +149,7 @@ def _load_json(path: str) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError(f"{path} must hold a JSON object")
@@ -169,6 +180,11 @@ def _params_from_flags(pr: Optional[int], N: Optional[int]) -> FermatParams:
     return FermatParams.make(p, r, N if N is not None else pr + 1)
 
 
+def _check_e(e: int) -> None:
+    if e < 1:
+        raise UsageError("--e must be >= 1")
+
+
 def _seed(args) -> int:
     seed = getattr(args, "seed", 0)
     if not 0 <= seed < 1 << 64:
@@ -180,7 +196,6 @@ def _cmd_verify(args):
     curve = _load_curve(args.curve, args, require_on_x=True)
     span_dim, rnc = fermat.is_rnc(curve)
     return {
-        "schema": SCHEMA,
         "valid": True,
         "p": curve.params.p,
         "r": curve.params.r,
@@ -195,13 +210,13 @@ def _cmd_splitting(args):
     curve = _load_curve(args.curve, args, require_on_x=False)
     label, op = _BUNDLES[args.bundle]
     st = op(curve)
-    return {"schema": SCHEMA, "e": curve.e, **st.to_json(label)}
+    return {"e": curve.e, **st.to_json(label)}
 
 
 def _cmd_classify(args):
     curve = _load_curve(args.curve, args, require_on_x=False)
     report = classify(curve)
-    return {"schema": SCHEMA, "e": curve.e, **report.to_json()}
+    return {"e": curve.e, **report.to_json()}
 
 
 def _cmd_windows(args):
@@ -216,7 +231,6 @@ def _cmd_windows(args):
             f"degrees up to {top} exceed the windows gate {WINDOWS_LIMIT}; pass a smaller --max"
         )
     return {
-        "schema": SCHEMA,
         "pr": model.pr,
         "N": model.N,
         "windows": [[lo, hi] for lo, hi in model.windows],
@@ -229,13 +243,12 @@ def _cmd_windows(args):
 def _cmd_tangent(args):
     curve = _load_curve(args.curve, args, require_on_x=False)
     report = tangent_report(curve)
-    return {"schema": SCHEMA, "e": curve.e, **report.to_json()}
+    return {"e": curve.e, **report.to_json()}
 
 
 def _cmd_balanced_model(args):
     pred = balanced_model(args.e, args.N, args.pr)
     return {
-        "schema": SCHEMA,
         "e": args.e,
         "N": args.N,
         "pr": args.pr,
@@ -250,13 +263,19 @@ def _cmd_balanced_model(args):
 
 def _cmd_probe_vanishing(args):
     params = _params_from_flags(args.pr, args.N)
+    _check_e(args.e)
     if args.budget < 1:
         raise UsageError("--budget must be >= 1")
+    work = args.budget * ((params.N + 1) * (args.e + 1) ** 2 + params.d * args.e + 1)
+    if work > PROBE_LIMIT:
+        raise SpaceTooLarge(
+            f"{args.budget} trials of degree {args.e} in P^{params.N} exceed the probe "
+            f"gate {PROBE_LIMIT}; pass a smaller --budget"
+        )
     report = coefficient_vanishing_probe(
         params, args.e, trials=args.budget, seed=_seed(args)
     )
     return {
-        "schema": SCHEMA,
         "p": params.p,
         "r": params.r,
         "N": params.N,
@@ -266,6 +285,7 @@ def _cmd_probe_vanishing(args):
 
 
 def _cmd_search(args):
+    _check_e(args.e)
     if args.budget < 1:
         raise UsageError("--budget must be >= 1")
     if args.strategy == "covers":
@@ -287,13 +307,19 @@ def _cmd_search(args):
             config = search.SearchConfig(params, args.e, strategy="exhaustive")
             found = search.exhaustive_scan(config)
         else:
+            width = (params.N + 1) * (args.e + 1)
+            cells = (params.d * args.e + 1 + width) * width
+            if args.budget * cells > ALTERNATING_LIMIT:
+                raise SpaceTooLarge(
+                    f"{args.budget} rounds of {cells} matrix cells exceed the "
+                    f"alternating gate {ALTERNATING_LIMIT}; pass a smaller --budget"
+                )
             config = search.SearchConfig(
                 params, args.e, _seed(args), max_iter=args.budget
             )
             hit = search.alternating_solve(config)
             found = [] if hit is None else [hit]
     return {
-        "schema": SCHEMA,
         "strategy": args.strategy,
         "e": args.e,
         "count": len(found),
@@ -308,7 +334,7 @@ def _cmd_survey(args):
     if args.budget < 1:
         raise UsageError("--budget must be >= 1")
     rows = search.survey(params, range(1, args.max + 1), args.budget, _seed(args))
-    return ({"schema": SCHEMA, **row.to_json()} for row in rows)
+    return (row.to_json() for row in rows)
 
 
 _COMMANDS = {
@@ -324,8 +350,9 @@ _COMMANDS = {
 }
 
 
-def _emit(obj, pretty: bool) -> None:
-    print(json.dumps(obj, indent=2 if pretty else None, sort_keys=False), flush=True)
+def _emit(obj: dict, pretty: bool) -> None:
+    """Print one document, its schema first."""
+    print(json.dumps({"schema": SCHEMA, **obj}, indent=2 if pretty else None), flush=True)
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
@@ -342,8 +369,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             _emit(result, args.pretty)
         return 0
     except FermatRCError as exc:
-        _emit({"schema": SCHEMA, "kind": exc.kind, "message": str(exc), **exc.where},
-              pretty=False)
+        _emit({"kind": exc.kind, "message": str(exc), **exc.where}, pretty=False)
         return exc.exit_code
 
 

@@ -29,11 +29,17 @@ from .errors import (
     DegreeMismatch,
     InvalidField,
     NotOnHypersurface,
+    SpaceTooLarge,
 )
-from .ff import FieldCtx, is_prime
+from .ff import FieldCtx, is_prime, json_int
 from .forms import Form, form_gcd
 
 Pattern = tuple[tuple[int, int], tuple[int, int]]
+
+# Curve records above these are refused before any work.  classify time
+# grows about as N^2 and as (d*e)^3; see README for the measurements.
+CURVE_N_LIMIT = 1000
+CURVE_DE_LIMIT = 1000
 
 
 @dataclass(frozen=True)
@@ -95,10 +101,23 @@ class Curve:
 
     @staticmethod
     def from_json(data: dict, on_hypersurface: bool = True) -> "Curve":
+        """Read a curve record.  Every number must be a JSON integer
+        (TypeError otherwise), and a curve above CURVE_N_LIMIT or
+        CURVE_DE_LIMIT is refused with SpaceTooLarge before any work."""
         ctx = FieldCtx.from_json(data["field"])
-        params = FermatParams(int(data["p"]), int(data["r"]), int(data["N"]), ctx)
-        e = int(data["e"])
+        p, r, N, e = (json_int(data[k], k) for k in ("p", "r", "N", "e"))
+        if N > CURVE_N_LIMIT:
+            raise SpaceTooLarge(f"N = {N} exceeds the curve gate {CURVE_N_LIMIT}")
+        # p^r >= 2^r, so a large r is refused without computing p^r
+        if p > 1 and (r >= 64 or (p**r + 1) * e > CURVE_DE_LIMIT):
+            raise SpaceTooLarge(
+                f"degree {e} on the Fermat hypersurface of degree {p}^{r} + 1 exceeds "
+                f"the curve gate d*e <= {CURVE_DE_LIMIT}"
+            )
+        params = FermatParams(p, r, N, ctx)
         arrays = data["curve"]
+        if not isinstance(arrays, list):
+            raise TypeError(f"curve must be a JSON list of forms, not {arrays!r}")
         if len(arrays) != params.N + 1:
             raise DegreeMismatch(f"expected {params.N + 1} forms, got {len(arrays)}")
         try:

@@ -25,10 +25,12 @@ digits.  Three tiers follow from it:
   (mul is exp[log a + log b]), and the scalar rows run the same code on
   memoryviews of the same arrays, so they return Python ints.  GF(729)
   builds in about 3 ms and GF(2^19) in about 0.2 s;
-* larger fields compute each op on base-p digits and expose the same rows
-  and tables as views that call those ops.
+* larger fields compute their rows and tables on base-p digits, as views
+  over unchecked digit helpers.
 
-The hot kernels of ``forms``, ``fermat`` and ``search`` index the rows
+The checked scalar ops (add, sub, neg, mul, inv, frobenius) are FieldCtx's
+for every field: they check their arguments and read the rows.  The hot
+kernels of ``forms``, ``fermat`` and ``search`` index the rows
 directly, so only this module knows which tier a field is in.
 
 Splitting types are geometric invariants, so computing over a fixed finite
@@ -38,6 +40,7 @@ model such as GF(p^(2r)) loses nothing.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
@@ -89,6 +92,14 @@ def _check_field(p: int, n: int) -> int:
     if not is_prime(p):
         raise InvalidField(f"{p} is not prime")
     return p**n
+
+
+def json_int(value: Any, what: str) -> int:
+    """An integer read from JSON.  int() would truncate a float, parse a
+    string and read true as 1, so anything but an int raises TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be a JSON integer, not {value!r}")
+    return value
 
 
 def _digits(k: int, p: int, n: int) -> list[int]:
@@ -200,8 +211,8 @@ class FieldTables:
 @dataclass(frozen=True, eq=False)
 class LookupRows:
     """Scalar arithmetic as indexing: add[a][b] is a + b, likewise sub and
-    mul, neg[a] is -a, inv[a] is 1/a (inv[0] is a 0 sentinel up to
-    LOG_LIMIT) and frob[k][a] is a^(p^k) for 0 <= k < n, all Python ints.
+    mul, neg[a] is -a, inv[a] is 1/a (inv[0] is a 0 sentinel) and
+    frob[k][a] is a^(p^k) for 0 <= k < n, all Python ints.
     Indices must be canonical elements; nothing is checked.  ``arrays``
     holds the same tables for vectorized use."""
 
@@ -314,12 +325,12 @@ class _BuiltOnFirstUse:
 class FieldCtx:
     """GF(p^n) with a fixed monic irreducible modulus.
 
-    Fields with q <= LOG_LIMIT answer every scalar op through ``rows``,
-    built on first use from O(q) exp/log tables: by one lookup when
-    q <= TABLE_LIMIT, by a few when q <= LOG_LIMIT.  Larger fields are
-    instances of a subclass that computes on base-p digits and offers
-    ``rows`` and ``tables()`` as computing views; ``__new__`` picks the
-    class once, so neither kind branches on it per operation.
+    Every scalar op checks its arguments and answers through ``rows``,
+    built on first use.  Fields with q <= LOG_LIMIT build them from O(q)
+    exp/log tables: one lookup per op when q <= TABLE_LIMIT, a few when
+    q <= LOG_LIMIT.  Larger fields are instances of a subclass whose
+    ``rows`` and ``tables()`` compute on base-p digits; ``__new__`` picks
+    the class once, so neither kind branches on it per operation.
     """
 
     def __new__(cls, p: int, n: int = 1, modulus: Optional[Sequence[int]] = None):
@@ -555,11 +566,13 @@ class FieldCtx:
     @classmethod
     def from_json(cls, data: dict) -> "FieldCtx":
         try:
-            p = int(data["p"])
-            n = int(data.get("n", 1))
-        except (KeyError, TypeError, ValueError) as exc:
+            p = json_int(data["p"], "p")
+            n = json_int(data.get("n", 1), "n")
+            modulus = data.get("modulus")
+            if modulus is not None:
+                modulus = [json_int(c, "a modulus coefficient") for c in modulus]
+        except (KeyError, TypeError) as exc:
             raise InvalidField(f"bad field record: {exc}") from exc
-        modulus = data.get("modulus")
         return cls(p, n, modulus)
 
 
@@ -581,8 +594,9 @@ def _rows(op) -> _Computed:
 
 
 class _Pairwise:
-    """A binary table view: view[a, b] is fn(a, b) for a numpy-vectorized
-    fn, int64 in the broadcast shape as indexing a lookup table would be."""
+    """A table view that computes its entries: view[a, b] is fn(a, b), and
+    view[a] is fn(a) for a unary op, for a numpy-vectorized fn; int64 in the
+    broadcast shape, as indexing a lookup table would be."""
 
     __slots__ = ("fn",)
 
@@ -590,110 +604,69 @@ class _Pairwise:
         self.fn = fn
 
     def __getitem__(self, key):
-        return self.fn(*key)
+        out = self.fn(*key) if isinstance(key, tuple) else self.fn(key)
+        return np.asarray(out, dtype=np.int64)[()]
 
 
-class _Broadcast:
-    """A table view that computes its entries: view[a, b] (view[a] for a
-    unary op) applies fn elementwise with numpy broadcasting and returns
-    int64 in the broadcast shape, as indexing a lookup table would."""
-
-    __slots__ = ("ufunc",)
-
-    def __init__(self, fn, nin: int):
-        self.ufunc = np.frompyfunc(fn, nin, 1)
-
-    def __getitem__(self, key):
-        args = key if isinstance(key, tuple) else (key,)
-        return np.asarray(self.ufunc(*args), dtype=np.int64)[()]
+def _pinv(a: list[int], f: Sequence[int], p: int) -> list[int]:
+    """Inverse of a nonzero a modulo the irreducible f over F_p, by extended
+    Euclid: each remainder r_i stays s_i * a mod f, down to a constant."""
+    r0, r1 = list(f), _ptrim(list(a))
+    s0, s1 = [], [1]
+    while len(r1) > 1:
+        lead_inv = pow(r1[-1], -1, p)
+        quot, rem = [0] * (len(r0) - len(r1) + 1), list(r0)
+        while len(rem) >= len(r1):
+            c = rem[-1] * lead_inv % p
+            shift = len(rem) - len(r1)
+            quot[shift] = c
+            for i, x in enumerate(r1):
+                rem[shift + i] = (rem[shift + i] - c * x) % p
+            _ptrim(rem)
+        prod = _pmul(quot, s1, p)
+        r0, r1 = r1, rem
+        s0, s1 = s1, _ptrim([(x - y) % p for x, y in itertools.zip_longest(s0, prod, fillvalue=0)])
+    c = pow(r1[0], -1, p)
+    return [c * x % p for x in s1]
 
 
 class _DigitFieldCtx(FieldCtx):
-    """A field above LOG_LIMIT: each op computes on base-p digits."""
-
-    def add(self, a: int, b: int) -> int:
-        self._check(a), self._check(b)
-        if self.n == 1:
-            return (a + b) % self.p
-        da, db = self.decode(a), self.decode(b)
-        return self.encode([(x + y) % self.p for x, y in zip(da, db)])
-
-    def neg(self, a: int) -> int:
-        self._check(a)
-        if self.n == 1:
-            return (-a) % self.p
-        return self.encode([(-x) % self.p for x in self.decode(a)])
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
-        self._check(a), self._check(b)
-        return self._mul_raw(a, b)
-
-    def inv(self, a: int) -> int:
-        """Multiplicative inverse: modular inverse in a prime field, else
-        extended Euclid against the modulus."""
-        self._check(a)
-        if a == 0:
-            raise DivisionByZero(f"inverse of 0 in {self!r}")
-        if self.n == 1:
-            return pow(a, -1, self.p)
-        return self._poly_inv(a)
-
-    def _poly_inv(self, a: int) -> int:
-        p = self.p
-        old_r, r = self.decode(a), list(self.modulus)
-        _ptrim(old_r)
-        old_s, s = [1], []
-        while r:
-            lead_inv = pow(r[-1], p - 2, p)
-            qt = [0] * (len(old_r) - len(r) + 1) if len(old_r) >= len(r) else []
-            rem = list(old_r)
-            while rem and len(rem) >= len(r):
-                c = (rem[-1] * lead_inv) % p
-                shift = len(rem) - len(r)
-                qt[shift] = c
-                for i in range(len(r)):
-                    rem[shift + i] = (rem[shift + i] - c * r[i]) % p
-                _ptrim(rem)
-            old_r, r = r, rem
-            prod = _pmul(qt, s, p)
-            new_s = [
-                ((old_s[i] if i < len(old_s) else 0) - (prod[i] if i < len(prod) else 0)) % p
-                for i in range(max(len(old_s), len(prod)))
-            ]
-            old_s, s = s, _ptrim(new_s)
-        # old_r is the gcd, a nonzero constant since the modulus is irreducible
-        c_inv = pow(old_r[0], p - 2, p)
-        res = [(c_inv * x) % p for x in old_s]
-        return self.encode(res + [0] * self.n)
-
-    def frobenius(self, a: int, k: int) -> int:
-        """k-fold Frobenius a -> a^(p^k); k reduces mod n (Galois closure)."""
-        self._check(a)
-        if k < 0:
-            raise ValueError("Frobenius power must be >= 0")
-        for _ in range(k % self.n):
-            a = self.pow(a, self.p)
-        return a
+    """A field above LOG_LIMIT: its rows and tables compute on base-p
+    digits.  The checked scalar ops are FieldCtx's, read through the rows."""
 
     def _build_tables(self) -> LookupRows:
-        """Views that call the checked ops, so the kernels written against
-        the rows and tables of a tabulated field run unchanged here."""
+        """Views over unchecked digit arithmetic (mul is _mul_raw), so the
+        kernels written against the rows and tables of a tabulated field
+        run unchanged here."""
+        p, enc, dec = self.p, self.encode, self.decode
+
+        def add(a, b):
+            return enc([x + y for x, y in zip(dec(a), dec(b))])
+
+        def sub(a, b):
+            return enc([x - y for x, y in zip(dec(a), dec(b))])
+
+        def neg(a):
+            return enc([-x for x in dec(a)])
+
+        def inv(a):
+            return enc(_pinv(dec(a), self.modulus, p)) if a else 0
+
+        def table(op, nin):
+            return _Pairwise(np.frompyfunc(op, nin, 1))
 
         return LookupRows(
-            add=_rows(self.add),
-            sub=_rows(self.sub),
-            mul=_rows(self.mul),
-            neg=_Computed(self.neg),
-            inv=_Computed(self.inv),
-            frob=_rows(lambda k, a: self.frobenius(a, k)),
+            add=_rows(add),
+            sub=_rows(sub),
+            mul=_rows(self._mul_raw),
+            neg=_Computed(neg),
+            inv=_Computed(inv),
+            frob=_rows(lambda k, a: self._pow_raw(a, p**k)),
             arrays=FieldTables(
-                add=_Broadcast(self.add, 2),
-                sub=_Broadcast(self.sub, 2),
-                mul=_Broadcast(self.mul, 2),
-                neg=_Broadcast(self.neg, 1),
-                inv=_Broadcast(lambda a: self.inv(a) if a else 0, 1),
+                add=table(add, 2),
+                sub=table(sub, 2),
+                mul=table(self._mul_raw, 2),
+                neg=table(neg, 1),
+                inv=table(inv, 1),
             ),
         )

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import AllZero, DegreeMismatch
-from .ff import FieldCtx
+from .ff import FieldCtx, json_int
 
 
 @dataclass(frozen=True)
@@ -168,7 +168,9 @@ class Form:
 
     @staticmethod
     def from_json(ctx: FieldCtx, arr: Sequence[int], deg: Optional[int] = None) -> "Form":
-        cs = list(arr)
+        if not isinstance(arr, list):
+            raise TypeError(f"a form must be a JSON list, not {arr!r}")
+        cs = [json_int(c, "a coefficient") for c in arr]
         d = len(cs) - 1 if deg is None else deg
         if len(cs) != d + 1:
             raise ValueError(f"expected {d + 1} coefficients, got {len(cs)}")

@@ -41,8 +41,10 @@ from .splitbundle import mult_matrix
 
 STRATEGIES = ("lines", "covers", "alternating", "exhaustive")
 
-# complete-scan gate, measured in normalized coefficient tuples
-EXHAUSTIVE_LIMIT = 1 << 32
+# complete-scan gate, measured in normalized coefficient tuples: a tuple
+# costs 25 to 40 us (X44 to X45 at e = 1), so the largest scan it accepts
+# takes about a minute
+EXHAUSTIVE_LIMIT = 2_000_000
 
 # line-enumeration gate, measured in candidate lines: ordered coordinate
 # quadruples times pairs of roots of -1 (X44: 1,920; X55: 9,000)

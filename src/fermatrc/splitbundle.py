@@ -42,6 +42,12 @@ the pullback tangent bundle in three stages:
      a kernel presentation, and negating plus reversing that splitting gives
      the tangent splitting.
 
+Every multiplication matrix comes from mult_matrix: Mult_m for h0, Mult_top
+with its columns sorted for GradedEchelon, and the linear system of stage 2
+(coordinates_in_basis), one block of rows per entry i that multiplies the
+i-th generator components, with the section's i-th component as a last
+column.
+
 coordinates_in_basis raises when the Euler section is not in the span, f*T_X
 must have rank N - 1 and degree e(N + 1 - d), and the Frobenius presentation
 is an independent cross-check: its counts h^0(K_F(d*e + m)) at m = -1, 0, 1
@@ -185,28 +191,23 @@ def _dims(entries: Sequence[Entry], m: int) -> list[int]:
 
 def mult_matrix(entries: Sequence[Entry], m: int) -> np.ndarray:
     """Matrix of Mult_m in the monomial bases, columns ordered by
-    (entry index, t-exponent), rows by t-exponent of the target."""
-    rows = max(m + 1, 0)
+    (entry index, t-exponent), rows by t-exponent of the target.  The only
+    code that writes a form's coefficients into a matrix column."""
     dims = _dims(entries, m)
-    M = np.zeros((rows, sum(dims)), dtype=np.int64)
-    if rows:
-        col = 0
-        for (g, d), dim in zip(entries, dims):
-            if dim and not g.is_zero:
-                cv = np.array(g.coeffs, dtype=np.int64)
-                for w in range(dim):
-                    M[w : w + d + 1, col + w] = cv
-            col += dim
+    M = np.zeros((max(m + 1, 0), sum(dims)), dtype=np.int64)
+    col = 0
+    for (g, d), dim in zip(entries, dims):
+        if not g.is_zero:
+            cv = np.array(g.coeffs, dtype=np.int64)
+            for w in range(dim):
+                M[w : w + d + 1, col + w] = cv
+        col += dim
     return M
 
 
 def h0(kp: KernelPresentation, m: int) -> int:
     """dim H^0(K(m)), exact for every twist by left exactness."""
     M = mult_matrix(kp.entries, m)
-    if M.shape[1] == 0:
-        return 0
-    if M.shape[0] == 0:
-        return M.shape[1]
     return M.shape[1] - linalg.rank(kp.ctx, M)
 
 
@@ -224,10 +225,8 @@ class GradedEchelon:
         self.kp, self.top = kp, top
         self.columns = sorted((w + d, i, w) for i, (g, d) in enumerate(kp.entries)
                               if not g.is_zero for w in range(top - d + 1))
-        M = np.zeros((top + 1, len(self.columns)), dtype=np.int64)
-        for c, (_, i, w) in enumerate(self.columns):
-            g = kp.entries[i][0]
-            M[w : w + g.deg + 1, c] = g.coeffs
+        offsets = np.cumsum([0] + _dims(kp.entries, top))
+        M = mult_matrix(kp.entries, top)[:, [offsets[i] + w for _, i, w in self.columns]]
         self.reduced, self.pivots = linalg.rref(kp.ctx, M)
         pivot_set = set(self.pivots)
         heads = {i: (d, i, None) for i, (g, d) in enumerate(kp.entries) if g.is_zero and d <= top}
@@ -299,19 +298,6 @@ def module_generators(kp: KernelPresentation) -> list[Generator]:
     return _mu_basis(kp).generators()
 
 
-def _section_flat(entries: Sequence[Entry], m: int, section: Sequence[Form]) -> np.ndarray:
-    dims = _dims(entries, m)
-    v = np.zeros(sum(dims), dtype=np.int64)
-    off = 0
-    for f, (_, d), dim in zip(section, entries, dims):
-        if not f.is_zero:
-            if f.deg != m - d:
-                raise DegreeMismatch("section component degree does not match the twist")
-            v[off : off + dim] = np.array(f.coeffs, dtype=np.int64)
-        off += dim
-    return v
-
-
 def coordinates_in_basis(
     kp: KernelPresentation, gens: Sequence[Generator], section: Sequence[Form]
 ) -> list[Form]:
@@ -332,31 +318,18 @@ def coordinates_in_basis(
     if len(twists) != 1:
         raise DegreeMismatch("section components disagree on the twist")
     m = twists.pop()
-    dims = _dims(entries, m)
-    offsets = np.cumsum([0] + dims[:-1])
-    rhs = _section_flat(entries, m, section)
-    A = np.zeros((len(rhs), 0), dtype=np.int64)
-    spans: list[tuple[int, int]] = []
-    for gen in gens:
-        k = m - gen.degree
-        start = A.shape[1]
-        if k >= 0:
-            # column w is the generator times s^(k-w) t^w: every block shifted by w
-            gdims = _dims(entries, gen.degree)
-            pos = np.concatenate([o + np.arange(gd) for o, gd in zip(offsets, gdims)])
-            flat = _section_flat(entries, gen.degree, gen.components)
-            ws = np.arange(k + 1)
-            block = np.zeros((A.shape[0], k + 1), dtype=np.int64)
-            block[pos[:, None] + ws, ws] = flat[:, None]
-            A = np.concatenate([A, block], axis=1)
-        spans.append((start, A.shape[1]))
-    sol = linalg.solve(ctx, A, rhs)
+    # one block of rows per entry i: column (j, w) is t^w times the i-th
+    # component of generator j, and the last column is the section's
+    A = np.vstack([
+        mult_matrix([(g.components[i], g.degree - d) for g in gens] + [(f, m - d)], m - d)
+        for i, (f, (_, d)) in enumerate(zip(section, entries))
+    ])
+    sol = linalg.solve(ctx, A[:, :-1], A[:, -1])
     if sol is None:
         raise NotInModule("section is not a combination of the generators")
-    return [
-        Form.make(ctx, m - gen.degree, sol[a:b]) if b > a else Form.zero(ctx, m - gen.degree)
-        for gen, (a, b) in zip(gens, spans)
-    ]
+    sizes = [max(m - g.degree + 1, 0) for g in gens]
+    parts = np.split(sol, np.cumsum(sizes)[:-1])
+    return [Form.make(ctx, m - g.degree, part) for g, part in zip(gens, parts)]
 
 
 # Pullback bundles of a curve on the Fermat hypersurface.

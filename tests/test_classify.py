@@ -2,6 +2,7 @@
 dimension reports, and the coefficient vanishing probe."""
 
 import functools
+import itertools
 import time
 
 import pytest
@@ -293,3 +294,60 @@ def test_classify_is_invariant_under_reparametrization(field, kind, matrix):
     moved = compose_cover(curve, Form.make(ctx, 1, [a, b]), Form.make(ctx, 1, [c, d]))
     assert moved.e == curve.e
     assert classify(moved).to_json() == classify(curve).to_json()
+
+
+@functools.lru_cache(maxsize=None)
+def _unitary_2x2(ctx, r):
+    """U(2, q^2) for q = p^r: the 2 x 2 matrices M over GF(q^2) with
+    (M^(q))^T M = I, that is, whose columns are orthonormal for the
+    Hermitian form h(x, y) = x_0^q y_0 + x_1^q y_1.  Each is returned as its
+    pair of columns.  Acting on two coordinates, M keeps sum x_i^(q+1)."""
+
+    def h(x, y):
+        return ctx.add(*(ctx.mul(ctx.frobenius(a, r), b) for a, b in zip(x, y)))
+
+    pairs = list(itertools.product(ctx.elements(), repeat=2))
+    unit = [u for u in pairs if h(u, u) == 1]
+    return [(u, v) for u in unit for v in unit if h(u, v) == 0]
+
+
+def test_unitary_groups_have_their_orders():
+    assert len(_unitary_2x2(FieldCtx(3, 2), 1)) == 96
+    assert len(_unitary_2x2(FieldCtx(2, 4), 2)) == 300
+
+
+@functools.lru_cache(maxsize=None)
+def _unitary_curves(field):
+    """A line, covers of it at e = 2 and 3, and a solver hit."""
+    curves = dict(_reparam_curves(field))
+    curves["cover3"] = random_cover_family(SearchConfig(curves["line"].params, 3, seed=11),
+                                           curves["line"], 1)[0]
+    return curves
+
+
+@functools.lru_cache(maxsize=None)
+def _report(field, kind):
+    return classify(_unitary_curves(field)[kind]).to_json()
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    field=st.sampled_from(["GF(9)", "GF(16)"]),
+    kind=st.sampled_from(["line", "cover", "cover3", "solver"]),
+    blocks=st.lists(st.tuples(st.integers(0, 2**32), st.integers(0, 2**32)),
+                    min_size=1, max_size=6),
+)
+def test_classify_is_invariant_under_unitary_maps(field, kind, blocks):
+    # the images are dense tuples, so stage 3 solves for full coordinates
+    curve = _unitary_curves(field)[kind]
+    params = curve.params
+    group = _unitary_2x2(curve.ctx, params.r)
+    pairs = list(itertools.combinations(range(params.N + 1), 2))
+    forms = list(curve.forms)
+    for where, which in blocks:
+        i, j = pairs[where % len(pairs)]
+        (a, c), (b, d) = group[which % len(group)]
+        forms[i], forms[j] = (forms[i].scale(a) + forms[j].scale(b),
+                              forms[i].scale(c) + forms[j].scale(d))
+    image = validate(params, curve.e, forms)  # NotOnHypersurface if it left X
+    assert classify(image).to_json() == _report(field, kind)

@@ -19,7 +19,7 @@ import fermatrc
 from fermatrc import fermat, search
 from fermatrc.cli import EXIT_BROKEN_PIPE, WINDOWS_LIMIT, main
 from fermatrc.errors import WindowViolation
-from fermatrc.fermat import Curve
+from fermatrc.fermat import CURVE_DE_LIMIT, CURVE_N_LIMIT, Curve
 from fermatrc.ff import FieldCtx
 
 SCHEMA = "fermat-rc/1"
@@ -128,6 +128,90 @@ def test_big_field_is_refused_quickly(capsys, tmp_path):
     code, payload = _run_json(capsys, "verify", "--curve", str(big))
     assert time.perf_counter() - t0 < 2.0
     assert code == 1 and payload["kind"] == "InvalidField"
+
+
+# each edit puts a float, a boolean or a string where a curve file holds an
+# integer, which int() would truncate, read as 1 or parse
+_NOT_INTEGERS = {
+    "e float": lambda d: d.update(e=1.5),
+    "e true": lambda d: d.update(e=True),
+    "p string": lambda d: d.update(p="3"),
+    "r false": lambda d: d.update(r=False),
+    "N float": lambda d: d.update(N=4.0),
+    "coefficient float": lambda d: d["curve"][0].__setitem__(0, 0.5),
+    "coefficient true": lambda d: d["curve"][1].__setitem__(1, True),
+    "coefficient string": lambda d: d["curve"][2].__setitem__(1, "1"),
+    "form string": lambda d: d["curve"].__setitem__(0, "10"),
+    "curve string": lambda d: d.update(curve="1,0"),
+    "field p float": lambda d: d["field"].update(p=3.0),
+    "field n true": lambda d: d["field"].update(n=True),
+    "modulus float": lambda d: d["field"].update(modulus=[1, 0, 1.0]),
+    "field list": lambda d: d.update(field=[3, 2]),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(_NOT_INTEGERS))
+def test_curve_files_take_json_integers_only(capsys, tmp_path, line44, edit):
+    data = line44.to_json()
+    _NOT_INTEGERS[edit](data)
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(data))
+    code = main(["classify", "--curve", str(path)])
+    out, err = capsys.readouterr()
+    assert code in (1, 3) and json.loads(out)["kind"] in ("UsageError", "InvalidField")
+    assert err == ""
+
+
+def test_oversized_curve_files_are_refused_at_once(capsys, tmp_path, line44):
+    edits = [
+        {"N": CURVE_N_LIMIT + 1},
+        {"e": CURVE_DE_LIMIT // 4 + 1},  # d = 4
+        # p^r = 2^31 over GF(2): validating would build a list of 2^31 + 2 entries
+        {"p": 2, "r": 31, "field": {"p": 2, "n": 1}},
+        {"r": 10**18},
+    ]
+    start = time.monotonic()
+    for edit in edits:
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({**line44.to_json(), **edit}))
+        code, payload = _run_json(capsys, "classify", "--curve", str(path))
+        assert code == 1 and payload["kind"] == "SpaceTooLarge", edit
+    assert time.monotonic() - start < 1
+
+
+def test_overlong_integer_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text('{"p": ' + "1" * 5000 + "}")
+    code, payload = _run_json(capsys, "verify", "--curve", str(path))
+    assert code == 3 and payload["kind"] == "UsageError"
+
+
+def test_search_flags_that_size_the_work_are_gated(capsys):
+    refused = [
+        # a dense kernel basis about 200,000 wide on each side
+        ["search", "--pr", "3", "--N", "100000", "--e", "1", "--budget", "1"],
+        # 1,000 rounds of the 16 million cells that --budget 1 is allowed
+        ["search", "--pr", "3", "--N", "2000", "--e", "1"],
+        # 1,805,568,402 and 36,288,252 tuples: hours and minutes of scanning
+        ["search", "--strategy", "exhaustive", "--pr", "3", "--N", "4", "--e", "2"],
+        ["search", "--strategy", "exhaustive", "--pr", "4", "--N", "5", "--e", "1"],
+        ["probe-vanishing", "--pr", "3", "--e", "1", "--budget", str(10**9)],
+    ]
+    start = time.monotonic()
+    for argv in refused:
+        code, payload = _run_json(capsys, *argv)
+        assert code == 1 and payload["kind"] == "SpaceTooLarge", argv
+    assert time.monotonic() - start < 1
+    for argv in (["search", "--pr", "3", "--e", "0"], ["probe-vanishing", "--pr", "3", "--e", "0"]):
+        code, payload = _run_json(capsys, *argv)
+        assert code == 3 and payload["kind"] == "UsageError", argv
+
+
+def test_every_document_starts_with_the_schema(capsys):
+    _, out = _run(capsys, "survey", "--pr", "3", "--max", "1", "--budget", "2")
+    _, error = _run(capsys, "windows", "--pr", "1000003")
+    for line in out.splitlines() + [error]:
+        assert next(iter(json.loads(line))) == "schema"
 
 
 def test_parser_error_paths(capsys):
