@@ -13,12 +13,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import UsageError, WindowViolation
+from .errors import SpaceTooLarge, UsageError, WindowViolation
 from .fermat import Curve, FermatParams, expand_F
 from .ff import is_prime
 from .forms import Form
 from .rng import SplitMix64
 from .splitbundle import SplittingType, frobenius_pullback, tx_pipeline
+
+# probe gate, measured in coefficient operations over all trials: a trial
+# draws (N + 1)(e + 1) coefficients and multiplies (N + 1)(e + 1)^2 pairs
+# into a d*e + 1 expansion, 0.3 to 1.8 us an operation (p^r = 3, 9 and 27
+# over GF(9), GF(81) and GF(729)), so the largest probe it accepts takes
+# under a minute
+PROBE_LIMIT = 1 << 25
 
 
 def prime_power(m: int) -> tuple[int, int]:
@@ -219,10 +226,13 @@ def coefficient_vanishing_probe(
     the hypersurface) the expansion sum f_i^(p^r) f_i is formed and the
     coefficients of t^(j*p^r - 1), j = 1..e, are checked.  For e < p^r - 1
     they vanish identically; the first nonvanishing witness is reported
-    otherwise.
+    otherwise.  More than PROBE_LIMIT operations are refused, not attempted.
     """
     if e < 1:
         raise ValueError("degree must be >= 1")
+    work = trials * ((params.N + 1) * (e + 1) ** 2 + params.d * e + 1)
+    if work > PROBE_LIMIT:
+        raise SpaceTooLarge(f"{trials} trials of degree {e} exceed the probe gate")
     ctx = params.ctx
     rng = SplitMix64(seed)
     exponents = tuple(j * params.pr - 1 for j in range(1, e + 1))

@@ -39,17 +39,6 @@ EXIT_BROKEN_PIPE = 141
 # windows and checks every degree up to --max
 WINDOWS_LIMIT = 100_000
 
-# search --strategy alternating refuses more matrix cells than this over all
-# its rounds.  A round holds the multiplication matrix (d*e + 1 rows) and
-# its dense kernel basis, both (N + 1)(e + 1) wide: --pr 3 --N 2000 --e 1
-# --budget 1 is 16 million cells, 1.7 s and a 152 MB peak
-ALTERNATING_LIMIT = 1 << 24
-
-# probe-vanishing refuses more coefficient operations than this: a trial
-# draws (N + 1)(e + 1) coefficients, multiplies (N + 1)(e + 1)^2 pairs into
-# a d*e + 1 expansion, each about 1 us over GF(9) and 2 us over GF(729)
-PROBE_LIMIT = 1 << 25
-
 _BUNDLES = {
     "tx": ("TX", splitbundle.splitting_tx),
     "f": ("F", splitbundle.splitting_f),
@@ -266,12 +255,6 @@ def _cmd_probe_vanishing(args):
     _check_e(args.e)
     if args.budget < 1:
         raise UsageError("--budget must be >= 1")
-    work = args.budget * ((params.N + 1) * (args.e + 1) ** 2 + params.d * args.e + 1)
-    if work > PROBE_LIMIT:
-        raise SpaceTooLarge(
-            f"{args.budget} trials of degree {args.e} in P^{params.N} exceed the probe "
-            f"gate {PROBE_LIMIT}; pass a smaller --budget"
-        )
     report = coefficient_vanishing_probe(
         params, args.e, trials=args.budget, seed=_seed(args)
     )
@@ -307,13 +290,6 @@ def _cmd_search(args):
             config = search.SearchConfig(params, args.e, strategy="exhaustive")
             found = search.exhaustive_scan(config)
         else:
-            width = (params.N + 1) * (args.e + 1)
-            cells = (params.d * args.e + 1 + width) * width
-            if args.budget * cells > ALTERNATING_LIMIT:
-                raise SpaceTooLarge(
-                    f"{args.budget} rounds of {cells} matrix cells exceed the "
-                    f"alternating gate {ALTERNATING_LIMIT}; pass a smaller --budget"
-                )
             config = search.SearchConfig(
                 params, args.e, _seed(args), max_iter=args.budget
             )

@@ -36,10 +36,10 @@ from .forms import Form, form_gcd
 
 Pattern = tuple[tuple[int, int], tuple[int, int]]
 
-# Curve records above these are refused before any work.  classify time
-# grows about as N^2 and as (d*e)^3; see README for the measurements.
-CURVE_N_LIMIT = 1000
-CURVE_DE_LIMIT = 1000
+# A curve record is refused before any work when (N + 1)(d*e + 1), times its
+# field's work_scale, exceeds this.  classify time grows about as N^2 for a
+# line and as (d*e)^3 for a cover; README lists the measurements.
+CURVE_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -102,17 +102,16 @@ class Curve:
     @staticmethod
     def from_json(data: dict, on_hypersurface: bool = True) -> "Curve":
         """Read a curve record.  Every number must be a JSON integer
-        (TypeError otherwise), and a curve above CURVE_N_LIMIT or
-        CURVE_DE_LIMIT is refused with SpaceTooLarge before any work."""
+        (TypeError otherwise), and a curve above CURVE_LIMIT is refused
+        with SpaceTooLarge before any work."""
         ctx = FieldCtx.from_json(data["field"])
         p, r, N, e = (json_int(data[k], k) for k in ("p", "r", "N", "e"))
-        if N > CURVE_N_LIMIT:
-            raise SpaceTooLarge(f"N = {N} exceeds the curve gate {CURVE_N_LIMIT}")
+        limit = CURVE_LIMIT // ctx.work_scale
         # p^r >= 2^r, so a large r is refused without computing p^r
-        if p > 1 and (r >= 64 or (p**r + 1) * e > CURVE_DE_LIMIT):
+        if p > 1 and (r >= 64 or (N + 1) * ((p**r + 1) * e + 1) > limit):
             raise SpaceTooLarge(
-                f"degree {e} on the Fermat hypersurface of degree {p}^{r} + 1 exceeds "
-                f"the curve gate d*e <= {CURVE_DE_LIMIT}"
+                f"a degree-{e} curve in P^{N} on the hypersurface of degree {p}^{r} + 1 "
+                f"exceeds the curve gate (N + 1)(d*e + 1) <= {limit} over {ctx!r}"
             )
         params = FermatParams(p, r, N, ctx)
         arrays = data["curve"]

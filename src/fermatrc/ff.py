@@ -386,6 +386,13 @@ class FieldCtx:
         return a
 
     @property
+    def work_scale(self) -> int:
+        """The factor by which a work gate shrinks its bound for this field:
+        1 up to TABLE_LIMIT, 2 up to LOG_LIMIT (a few lookups an op), 16
+        above it (a Python call an element); measured on classify."""
+        return 1 if self.q <= TABLE_LIMIT else 2 if self.q <= LOG_LIMIT else 16
+
+    @property
     def minus_one(self) -> int:
         return self.p - 1 if self.p > 2 else 1
 
@@ -594,9 +601,8 @@ def _rows(op) -> _Computed:
 
 
 class _Pairwise:
-    """A table view that computes its entries: view[a, b] is fn(a, b), and
-    view[a] is fn(a) for a unary op, for a numpy-vectorized fn; int64 in the
-    broadcast shape, as indexing a lookup table would be."""
+    """A binary table view: view[a, b] is fn(a, b) for a numpy-vectorized
+    fn, int64 in the broadcast shape as indexing a lookup table would be."""
 
     __slots__ = ("fn",)
 
@@ -604,8 +610,7 @@ class _Pairwise:
         self.fn = fn
 
     def __getitem__(self, key):
-        out = self.fn(*key) if isinstance(key, tuple) else self.fn(key)
-        return np.asarray(out, dtype=np.int64)[()]
+        return self.fn(*key)
 
 
 def _pinv(a: list[int], f: Sequence[int], p: int) -> list[int]:
@@ -653,7 +658,8 @@ class _DigitFieldCtx(FieldCtx):
             return enc(_pinv(dec(a), self.modulus, p)) if a else 0
 
         def table(op, nin):
-            return _Pairwise(np.frompyfunc(op, nin, 1))
+            ufunc = np.frompyfunc(op, nin, 1)
+            return lambda *args: np.asarray(ufunc(*args), dtype=np.int64)[()]
 
         return LookupRows(
             add=_rows(add),
@@ -663,10 +669,10 @@ class _DigitFieldCtx(FieldCtx):
             inv=_Computed(inv),
             frob=_rows(lambda k, a: self._pow_raw(a, p**k)),
             arrays=FieldTables(
-                add=table(add, 2),
-                sub=table(sub, 2),
-                mul=table(self._mul_raw, 2),
-                neg=table(neg, 1),
-                inv=table(inv, 1),
+                add=_Pairwise(table(add, 2)),
+                sub=_Pairwise(table(sub, 2)),
+                mul=_Pairwise(table(self._mul_raw, 2)),
+                neg=_Computed(table(neg, 1)),
+                inv=_Computed(table(inv, 1)),
             ),
         )

@@ -46,6 +46,12 @@ STRATEGIES = ("lines", "covers", "alternating", "exhaustive")
 # takes about a minute
 EXHAUSTIVE_LIMIT = 2_000_000
 
+# alternating-solver gate, measured in the matrix cells of one round: the
+# multiplication matrix (d*e + 1 rows) and its dense kernel basis, both
+# (N + 1)(e + 1) wide.  X44 in P^2000 at e = 1 is 16 million cells, a
+# 1.7 s round with a 152 MB peak; X44 at e = 19 is 17,700 cells, 7 ms
+ALTERNATING_LIMIT = 1 << 24
+
 # line-enumeration gate, measured in candidate lines: ordered coordinate
 # quadruples times pairs of roots of -1 (X44: 1,920; X55: 9,000)
 LINES_LIMIT = 1 << 16
@@ -194,12 +200,17 @@ def alternating_solve(config: SearchConfig) -> Optional[Curve]:
     (the draw lies in the kernel of its own block, which is the on-X
     condition).  A base-point-free hit is returned; otherwise the last
     draw seeds the next round.  Best effort: None after max_iter rounds.
+    A round above ALTERNATING_LIMIT matrix cells is refused, not attempted.
     """
     params = config.params
     ctx = params.ctx
     e = config.e
     n1 = params.N + 1
     twist = params.d * e
+    width = n1 * (e + 1)
+    cells = (twist + 1 + width) * width
+    if cells > ALTERNATING_LIMIT:
+        raise SpaceTooLarge(f"{cells} matrix cells a round exceed the alternating gate")
     delta = e * params.pr
     rng = SplitMix64(config.seed)
 

@@ -19,7 +19,7 @@ import fermatrc
 from fermatrc import fermat, search
 from fermatrc.cli import EXIT_BROKEN_PIPE, WINDOWS_LIMIT, main
 from fermatrc.errors import WindowViolation
-from fermatrc.fermat import CURVE_DE_LIMIT, CURVE_N_LIMIT, Curve
+from fermatrc.fermat import Curve
 from fermatrc.ff import FieldCtx
 
 SCHEMA = "fermat-rc/1"
@@ -163,19 +163,28 @@ def test_curve_files_take_json_integers_only(capsys, tmp_path, line44, edit):
 
 
 def test_oversized_curve_files_are_refused_at_once(capsys, tmp_path, line44):
-    edits = [
-        {"N": CURVE_N_LIMIT + 1},
-        {"e": CURVE_DE_LIMIT // 4 + 1},  # d = 4
+    # (N + 1)(d*e + 1) against 4,096, or 2,048 over GF(729) and 256 over
+    # GF(3^12); d = 4
+    refused = [
+        {"N": 1000, "e": 250},  # an Omega matrix of about 1,000 x 250,000
+        {"N": 1000, "e": 2},
+        {"e": 205},
+        {"e": 103, "field": {"p": 3, "n": 6}},
+        {"e": 13, "field": {"p": 3, "n": 12}},
         # p^r = 2^31 over GF(2): validating would build a list of 2^31 + 2 entries
         {"p": 2, "r": 31, "field": {"p": 2, "n": 1}},
         {"r": 10**18},
     ]
+    # under the gate, so the record is read on and its five forms are too few
+    accepted = [{"N": 818}, {"e": 204}, {"N": 408, "field": {"p": 3, "n": 6}}]
     start = time.monotonic()
-    for edit in edits:
+    for edit, kind in [(x, "SpaceTooLarge") for x in refused] + [
+        (x, "DegreeMismatch") for x in accepted
+    ]:
         path = tmp_path / "big.json"
         path.write_text(json.dumps({**line44.to_json(), **edit}))
         code, payload = _run_json(capsys, "classify", "--curve", str(path))
-        assert code == 1 and payload["kind"] == "SpaceTooLarge", edit
+        assert code == 1 and payload["kind"] == kind, edit
     assert time.monotonic() - start < 1
 
 
@@ -190,8 +199,8 @@ def test_search_flags_that_size_the_work_are_gated(capsys):
     refused = [
         # a dense kernel basis about 200,000 wide on each side
         ["search", "--pr", "3", "--N", "100000", "--e", "1", "--budget", "1"],
-        # 1,000 rounds of the 16 million cells that --budget 1 is allowed
-        ["search", "--pr", "3", "--N", "2000", "--e", "1"],
+        # one round of 17.7 million cells, whatever the budget
+        ["search", "--pr", "3", "--N", "2100", "--e", "1", "--budget", "1"],
         # 1,805,568,402 and 36,288,252 tuples: hours and minutes of scanning
         ["search", "--strategy", "exhaustive", "--pr", "3", "--N", "4", "--e", "2"],
         ["search", "--strategy", "exhaustive", "--pr", "4", "--N", "5", "--e", "1"],
@@ -205,6 +214,13 @@ def test_search_flags_that_size_the_work_are_gated(capsys):
     for argv in (["search", "--pr", "3", "--e", "0"], ["probe-vanishing", "--pr", "3", "--e", "0"]):
         code, payload = _run_json(capsys, *argv)
         assert code == 3 and payload["kind"] == "UsageError", argv
+
+
+@pytest.mark.slow
+def test_moderate_alternating_search_runs_at_the_default_budget(capsys):
+    # 1,000 rounds of 17,700 cells: the gate bounds one round, not the budget
+    code, payload = _run_json(capsys, "search", "--pr", "3", "--e", "19")
+    assert code == 0 and payload["strategy"] == "alternating"
 
 
 def test_every_document_starts_with_the_schema(capsys):
