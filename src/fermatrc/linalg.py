@@ -41,21 +41,22 @@ def rref(ctx: FieldCtx, mat: Matrix) -> tuple[np.ndarray, list[int]]:
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(M[r:, c])[0]
+        nz = M[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
         if pr != r:
-            M[[r, pr]] = M[[pr, r]]
-        piv = int(M[r, c])
+            M[r], M[pr] = M[pr].copy(), M[r].copy()
+        # the pivot row is zero left of c: earlier pivot columns are cleared
+        # in it, and the other earlier columns are zero from row r down
+        row = M[r, c:]
+        piv = int(row[0])
         if piv != 1:
-            M[r] = T.mul[T.inv[piv], M[r]]
-        colvals = M[:, c].copy()
-        colvals[r] = 0
-        other = np.nonzero(colvals)[0]
+            row[:] = T.mul[T.inv[piv], row]
+        other = M[:, c].nonzero()[0]
+        other = other[other != r]
         if other.size:
-            factors = M[other, c]
-            M[other] = T.sub[M[other], T.mul[factors[:, None], M[r][None, :]]]
+            M[other, c:] = T.sub[M[other, c:], T.mul[M[other, c][:, None], row]]
         pivots.append(c)
         r += 1
     return M, pivots

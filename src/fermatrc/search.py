@@ -56,6 +56,13 @@ ALTERNATING_LIMIT = 1 << 24
 # quadruples times pairs of roots of -1 (X44: 1,920; X55: 9,000)
 LINES_LIMIT = 1 << 16
 
+# cover-family gate, measured in work units: each cover's (N + 1)(e + 1)
+# coefficients plus e^2 for the gcd of its pair and the substitution.  A
+# unit costs 11 us at most (X44 at e = 2, where the per-cover overhead
+# dominates; 0.5 us at e = 96 and 500), so the largest family it accepts
+# takes about 10 s
+COVERS_LIMIT = 900_000
+
 # survey only runs the complete scan when it is this cheap
 _SURVEY_SCAN_CAP = 60_000
 
@@ -248,8 +255,14 @@ def alternating_solve(config: SearchConfig) -> Optional[Curve]:
 
 
 def random_cover_family(config: SearchConfig, base: Curve, count: int) -> list[Curve]:
-    """The first count covers of _cover_stream(config, base)."""
-    return list(itertools.islice(_cover_stream(config, base), count))
+    """The first count covers of _cover_stream(config, base).  A family of
+    more than COVERS_LIMIT work units is refused, not attempted."""
+    covers = _cover_stream(config, base)
+    e = config.e
+    work = count * ((config.params.N + 1) * (e + 1) + e * e)
+    if work > COVERS_LIMIT:
+        raise SpaceTooLarge(f"{count} covers of degree {e} exceed the cover gate")
+    return list(itertools.islice(covers, count))
 
 
 def _cover_stream(config: SearchConfig, base: Curve) -> Iterator[Curve]:
@@ -413,10 +426,12 @@ def _survey_degree(
         for curve in curves:
             if count >= quota:
                 return
-            key = projective_key(curve, units)
-            if source != "covers" and key in seen_keys:
-                continue
-            seen_keys.add(key)
+            # covers come last and skip the dedupe, so no row reads their keys
+            if source != "covers":
+                key = projective_key(curve, units)
+                if key in seen_keys:
+                    continue
+                seen_keys.add(key)
             try:
                 report = classify(curve)
             except FermatRCError as exc:

@@ -50,10 +50,14 @@ column.
 
 coordinates_in_basis raises when the Euler section is not in the span, f*T_X
 must have rank N - 1 and degree e(N + 1 - d), and the Frobenius presentation
-is an independent cross-check: its counts h^0(K_F(d*e + m)) at m = -1, 0, 1
-come from mult_matrix and h0, share no matrices with the pipeline, and must
-equal h^0(f*F(m)) and h^0(f*T_X(m)) + m + 1 (H^1(O(m)) = 0 for m >= -1).
-The classifier checks the forbidden degree windows on top.
+is a cross-check: its counts h^0(K_F(d*e + m)) at m = -1, 0, 1 are three
+prefixes of one GradedEchelon at top d*e + 1, and must equal h^0(f*F(m)) and
+h^0(f*T_X(m)) + m + 1 (H^1(O(m)) = 0 for m >= -1).  That echelon reduces the
+entries f_i^(p^r) themselves, which no stage reduces: stage 1 scans the
+Omega presentation and lifts its generators, stage 2 solves in the lifted
+generators, stage 3 scans the dual.  The tail count guards the reading, and
+h0 (mult_matrix and rank) is its oracle in the tests.  The classifier checks
+the forbidden degree windows on top.
 """
 
 from __future__ import annotations
@@ -153,6 +157,16 @@ class KernelPresentation:
     def make(entries: Sequence[Entry]) -> "KernelPresentation":
         return KernelPresentation(tuple((g, int(d)) for g, d in entries))
 
+    def frobenius(self, r: int) -> "KernelPresentation":
+        """The row (g_i^(p^r)) with twists p^r*delta_i, its pullback under
+        absolute Frobenius.  Frobenius is an injective ring map, so
+        gcd(g^q, h^q) = gcd(g, h)^q: the entries of a checked presentation
+        stay coprime, and the checks are not run again."""
+        q = self.ctx.p**r
+        out = object.__new__(KernelPresentation)
+        object.__setattr__(out, "entries", tuple((g.frob_power(r), q * d) for g, d in self.entries))
+        return out
+
     @property
     def ctx(self) -> FieldCtx:
         return self.entries[0][0].ctx
@@ -242,6 +256,11 @@ class GradedEchelon:
                 f"non-pivot columns are not tails: {free} of them, heads "
                 f"{[m for m, _, _ in self.heads]} at top {top}"
             )
+
+    def h0_at(self, m: int) -> int:
+        """h^0(K(m)) for m <= top: the non-pivot columns of twist <= m, which
+        the tail count certifies to be sum max(m - head + 1, 0)."""
+        return sum(max(m - t + 1, 0) for t, _, _ in self.heads)
 
     def generators(self) -> list[Generator]:
         """One generator per head: the kernel vector of its column, 1 there,
@@ -353,9 +372,7 @@ def omega_presentation(curve: Curve) -> KernelPresentation:
 
 def frob_presentation(curve: Curve) -> KernelPresentation:
     """Presentation whose kernel twisted by d*e is the pullback f*F."""
-    r = curve.params.r
-    delta = curve.e * curve.params.pr
-    return KernelPresentation.make([(f.frob_power(r), delta) for f in curve.forms])
+    return omega_presentation(curve).frobenius(curve.params.r)
 
 
 def frobenius_pullback(omega: SplittingType, pr: int, de: int) -> SplittingType:
@@ -419,18 +436,20 @@ def tx_pipeline(curve: Curve) -> TXData:
     Stage 1 lifts the f*Omega^1 generators by Frobenius instead of scanning
     the Frobenius presentation.  Postconditions are enforced: rank N-1 and
     degree e(N+1-d) for f*T_X, and agreement of f*F and f*T_X with the
-    Frobenius presentation's section counts at twists -1, 0, 1.
+    Frobenius presentation's section counts at twists -1, 0, 1, read off
+    one graded echelon of it.
     """
     if not curve.on_x:
         raise NotOnHypersurface("tangent pipeline needs a curve on the hypersurface")
     params = curve.params
     de = params.d * curve.e
-    omega_gens = module_generators(omega_presentation(curve))
+    omega_kp = omega_presentation(curve)
+    omega_gens = module_generators(omega_kp)
     omega = SplittingType.of(-g.degree for g in omega_gens)
     f_split = frobenius_pullback(omega, params.pr, de)
     gens = frobenius_lift(omega_gens, params.r)
     bs = [de - g.degree for g in gens]
-    kp = frob_presentation(curve)
+    kp = omega_kp.frobenius(params.r)
     try:
         coords = coordinates_in_basis(kp, gens, curve.forms)
     except NotInModule as exc:
@@ -446,8 +465,9 @@ def tx_pipeline(curve: Curve) -> TXData:
         raise CertificateFailure(
             f"tangent splitting {tx.summands} has wrong rank or degree"
         )
+    counts = GradedEchelon(kp, de + 1)
     for m in (-1, 0, 1):
-        direct = h0(kp, de + m)
+        direct = counts.h0_at(de + m)
         if f_split.h0_at(m) != direct:
             raise CertificateFailure(
                 f"f*F splitting disagrees with the direct count at twist {m}"

@@ -19,7 +19,7 @@ from fermatrc.classify import (
     prime_power,
     tangent_report,
 )
-from fermatrc.errors import UsageError
+from fermatrc.errors import CommonZero, UsageError
 from fermatrc.fermat import (
     FermatParams,
     compose_cover,
@@ -294,6 +294,35 @@ def test_classify_is_invariant_under_reparametrization(field, kind, matrix):
     moved = compose_cover(curve, Form.make(ctx, 1, [a, b]), Form.make(ctx, 1, [c, d]))
     assert moved.e == curve.e
     assert classify(moved).to_json() == classify(curve).to_json()
+
+
+@functools.lru_cache(maxsize=None)
+def _base_report(field, kind):
+    return classify(_reparam_curves(field)[kind])
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    field=st.sampled_from(["GF(9)", "GF(16)", "GF(729)"]),
+    kind=st.sampled_from(["line", "solver"]),
+    k=st.integers(2, 3),
+    coeffs=st.lists(st.integers(0, 728), min_size=8, max_size=8),
+)
+def test_classify_of_a_cover_is_k_times_its_base(field, kind, k, coeffs):
+    # the full pipeline on f o phi against k x the base's report
+    curve = _reparam_curves(field)[kind]
+    ctx = curve.ctx
+    phi0 = Form.make(ctx, k, [c % ctx.q for c in coeffs[: k + 1]])
+    phi1 = Form.make(ctx, k, [c % ctx.q for c in coeffs[4 : k + 5]])
+    assume(not phi0.is_zero and not phi1.is_zero)
+    try:
+        cover = compose_cover(curve, phi0, phi1)
+    except CommonZero:
+        assume(False)
+    base, report = _base_report(field, kind), classify(cover)
+    assert report.splitting_TX == base.splitting_TX.scaled(k)
+    assert report.splitting_F == base.splitting_F.scaled(k)
+    assert report.splitting_omega_P == base.splitting_omega_P.scaled(k)
 
 
 @functools.lru_cache(maxsize=None)

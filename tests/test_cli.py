@@ -475,6 +475,16 @@ def test_search_covers_cli(capsys, curve_file):
         curve = Curve.from_json(blob)
         assert curve.e == 2 and curve.on_x
 
+    # the family is built before it is printed, so a huge one is refused
+    start = time.monotonic()
+    code, payload = _run_json(
+        capsys,
+        "search", "--strategy", "covers", "--curve", curve_file,
+        "--e", "2", "--budget", "1000000",
+    )
+    assert code == 1 and payload["kind"] == "SpaceTooLarge"
+    assert time.monotonic() - start < 1
+
     code, payload = _run_json(
         capsys, "search", "--strategy", "covers", "--pr", "3", "--e", "2"
     )

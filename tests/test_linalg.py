@@ -10,7 +10,9 @@ import pytest
 
 from fermatrc import linalg
 from fermatrc.ff import TABLE_LIMIT, FieldCtx, _DigitFieldCtx
+from fermatrc.forms import Form
 from fermatrc.search import _combine
+from fermatrc.splitbundle import mult_matrix
 
 
 def _random_matrix(rng, ctx, rows, cols):
@@ -167,6 +169,65 @@ def test_digit_and_table_fields_agree():
     assert K.shape[0] == 6 - linalg.rank(big, M)
     for v in K:
         assert _matvec(big, M, v) == [0, 0, 0]
+
+
+def _scalar_rref(ctx, M):
+    """Gauss-Jordan on lists of Python ints through the checked scalar ops."""
+    A = [[int(x) for x in row] for row in M]
+    pivots, r = [], 0
+    for c in range(len(A[0]) if A else 0):
+        pr = next((i for i in range(r, len(A)) if A[i][c]), None)
+        if pr is None:
+            continue
+        A[r], A[pr] = A[pr], A[r]
+        lead = ctx.inv(A[r][c])
+        A[r] = [ctx.mul(lead, x) for x in A[r]]
+        for i, row in enumerate(A):
+            if i != r and row[c]:
+                f = row[c]
+                A[i] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(row, A[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(A):
+            break
+    return A, pivots
+
+
+def _oracle_matrices(rng, ctx):
+    """Random matrices with zero columns and pivots below the diagonal, and
+    multiplication matrices with a zero entry and a root at s = 0."""
+    mats = [_random_matrix(rng, ctx, r, c) for r, c in ((1, 1), (3, 7), (7, 3), (6, 6))]
+    M = _random_matrix(rng, ctx, 6, 8)
+    M[:, [0, 3, 7]] = 0
+    M[:-1, 1] = 0  # the pivot of column 1 is the last row: a swap
+    M[-1, 1] = 1 + rng.randrange(ctx.q - 1)
+    M[:2, 2] = 0
+    mats.append(M)
+    mats.append(np.vstack([M[3:], M[:3], M[3:]]))  # rank deficient
+    t_times = Form.make(ctx, 3, [0] + [rng.randrange(ctx.q) for _ in range(3)])
+    entries = [
+        (Form.make(ctx, 2, [rng.randrange(ctx.q) for _ in range(3)]), 2),
+        (Form.zero(ctx, 1), 1),
+        (t_times, 3),
+    ]
+    for m in (3, 6):
+        mult = mult_matrix(entries, m)
+        mats += [mult, mult[:, rng.sample(range(mult.shape[1]), mult.shape[1])]]
+    return mats
+
+
+@pytest.mark.parametrize("field", [(3, 1), (3, 2), (2, 4), (3, 6), "digits"],
+                         ids=["GF(3)", "GF(9)", "GF(16)", "GF(729)", "GF(32) digits"])
+def test_rref_equals_the_scalar_elimination(field):
+    # the reduced row echelon form is unique, so the two agree exactly
+    ctx = _DigitFieldCtx(2, 5) if field == "digits" else FieldCtx(*field)
+    assert isinstance(ctx.tables().mul, np.ndarray) == (field != "digits" and ctx.q <= TABLE_LIMIT)
+    rng = random.Random(ctx.q)
+    for M in _oracle_matrices(rng, ctx):
+        R, pivots = linalg.rref(ctx, M)
+        want, want_pivots = _scalar_rref(ctx, M)
+        assert pivots == want_pivots
+        assert R.tolist() == want
 
 
 def test_normalize_leading(gf9):

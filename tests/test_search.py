@@ -118,6 +118,21 @@ def test_cover_family_rejects_bad_degrees(params44, params55, line44):
         random_cover_family(SearchConfig(params55, 2, seed=1), line44, 1)
 
 
+def test_cover_family_gate(params44, line44, monkeypatch):
+    # X44 at e = 2: each cover is 5 * 3 coefficients plus 2^2 work units
+    config = SearchConfig(params44, 2, seed=7)
+    monkeypatch.setattr(search_module, "COVERS_LIMIT", 3 * 19)
+    assert len(random_cover_family(config, line44, 3)) == 3
+    with pytest.raises(SpaceTooLarge, match="cover gate"):
+        random_cover_family(config, line44, 4)
+    monkeypatch.undo()
+    start = time.monotonic()
+    for e, count in ((2, 10**7), (10**5, 1)):
+        with pytest.raises(SpaceTooLarge):
+            random_cover_family(SearchConfig(params44, e, seed=7), line44, count)
+    assert time.monotonic() - start < 1
+
+
 def test_cover_sampling_gives_up_on_degenerate_draws(params44, line44, monkeypatch):
     # every pair "shares a factor": the stream stops after a bounded run
     monkeypatch.setattr(search_module, "form_gcd", lambda forms: forms[0])

@@ -394,6 +394,20 @@ def test_wrong_derived_f_fails_the_direct_count(line44, monkeypatch):
         tx_pipeline(line44)
 
 
+def test_wrong_tangent_splitting_fails_the_direct_count(line44, monkeypatch):
+    true_split = splitbundle.splitting_type
+
+    def moved_by_one(kp):
+        # one unit from the last summand to the first keeps rank and degree,
+        # so only the direct count can tell
+        st = true_split(kp)
+        return SplittingType.of((st.summands[0] + 1,) + st.summands[1:-1] + (st.summands[-1] - 1,))
+
+    monkeypatch.setattr(splitbundle, "splitting_type", moved_by_one)
+    with pytest.raises(CertificateFailure, match="tangent splitting disagrees"):
+        tx_pipeline(line44)
+
+
 def _random_presentation(ctx, seed):
     """One to five entries of mixed degrees, a quarter of them zero with a
     twist in [-3, 6]; sparse coefficients, redrawn until coprime."""
@@ -449,9 +463,10 @@ def test_graded_echelon_against_h0(field, source, on_x, seed):
     # taller echelon has the same heads
     m_lo = min(d for _, d in kp.entries) - 2
     top = max([g.degree for g in gens] + [m_lo + 1]) + 1
+    echelon = GradedEchelon(kp, top)
     for m in range(m_lo, top + 1):
-        assert split.h0_at(m) == h0(kp, m), m
-    assert GradedEchelon(kp, top).generators() == gens
+        assert split.h0_at(m) == echelon.h0_at(m) == h0(kp, m), m
+    assert echelon.generators() == gens
     # the generators span: a Koszul syzygy of two live entries is a combination
     live = [i for i, (g, _) in enumerate(kp.entries) if not g.is_zero]
     if len(live) >= 2:
